@@ -1,48 +1,31 @@
-//! Fused eager kernels for the [`Execution::Int8`] Winograd inference
-//! path.
+//! The integer ends of the fused Winograd walk, for the
+//! [`Execution::Int8`] inference path.
 //!
-//! The op-by-op pipeline materializes ~10 full-size intermediates per
-//! convolution (pad, gather, two matmuls + a fake-quant + two tile
-//! transposes per half, plus the quantize/permute/pack chain feeding the
-//! integer GEMM). At inference time none of those intermediates is
-//! needed: each `n×n` tile's journey from gathered input to packed i8
-//! GEMM operand — and from i32 accumulator to assembled output pixel —
-//! is a local computation that fits in registers. These kernels walk the
-//! tiles once, apply the transform matrices as plain ascending-`k` dot
-//! products, snap at exactly the sites the reference snaps, and write
-//! straight into the final layout (the pair-interleaved GEMM panels on
-//! the way in, the NCHW output on the way out).
+//! The tile walks themselves — gather, `Bᵀ·d·B`, `Aᵀ·y·A`, snaps, crop —
+//! are [`crate::fused_walk`]'s, shared with the f32 path. This module
+//! supplies what differs when the tap GEMM runs on `i8×i8→i32`: a sink
+//! that quantizes each tap onto its i8 grid and writes it straight into
+//! its slot of the pair-interleaved [`PackedBI8`] GEMM operand (no
+//! row-major intermediate, no packing pass), and a source that reads the
+//! i32 accumulators through the per-tap fixed-point [`Requantizer`]s
+//! onto the Hadamard site's grid.
 //!
-//! **Bit-exactness.** The f32 GEMM's micro-kernel accumulates `a·b`
-//! products in ascending `k` order, making `matmul_nt` bit-identical to
-//! a naive triple loop; the dot products here use the same order, the
-//! snapping uses the same [`round_clamp_i32`] arithmetic as
-//! `fake_quant_scale`, and all data movement (implicit zero padding,
-//! tile transposes folded into index order, output cropping) is exact by
-//! construction. The unit tests below pin both kernels `==`-equal to the
-//! tape-op sequences they replace, so the int8 parity contract is
-//! unchanged.
+//! **Bit-exactness.** The walk reproduces the tape's f32 arithmetic (see
+//! its module docs); the sink's `round_clamp_i32(v / s, qmax)` is
+//! `quantize_i8_taps`'s and the source's `apply_clamped(a, qmax)·s_h` is
+//! the op-by-op requantize pass's. The unit tests below pin both halves
+//! `==`-equal to the tape-op sequences they replace, so the int8 parity
+//! contract is unchanged.
 //!
 //! [`Execution::Int8`]: wa_quant::Execution::Int8
-//! [`round_clamp_i32`]: wa_quant::round_clamp_i32
 
 use wa_quant::{round_clamp_i32, Requantizer};
 use wa_tensor::{PackedBI8, Tensor};
 use wa_winograd::TileGeometry;
 
-/// Largest supported tile edge (`n = m + r − 1`): F6 with r=3 gives
-/// `n = 8`. Layers beyond this take the op-by-op fallback.
-pub(crate) const MAX_TILE: usize = 8;
-
-/// Whether the fused kernels cover this `(n, m)` tile shape. The hot
-/// loops are monomorphized per shape (const tile edges let the compiler
-/// unroll the 6-element dot products and hoist every bounds check, which
-/// is worth ~3× over the generic loop); the shapes here are exactly the
-/// `F2/F4/F6 × r=3` configurations the paper evaluates. Anything else
-/// takes the op-by-op fallback.
-pub(crate) fn supports_tile(n: usize, m: usize) -> bool {
-    matches!((n, m), (4, 2) | (6, 4) | (8, 6))
-}
+use crate::fused_walk::{
+    input_walk, output_walk, BackSnaps, FrontSnaps, Snap, TapSink, TapSource, LANES,
+};
 
 /// Quantization parameters of the fused input half: the per-layer
 /// `Q(Bᵀ·d)` snap and the per-tap `Q(Bᵀ·d·B)` grids.
@@ -57,12 +40,33 @@ pub(crate) struct FrontQuant<'a> {
     pub v_qmaxes: &'a [i32],
 }
 
-/// Fused input half: gather each `n×n` tile (implicit zero padding),
-/// apply `Bᵀ·d·B` with a `Q(Bᵀ·d)` snap between the two one-sided
-/// products, quantize each tap onto its i8 grid, and write the value
-/// straight into its packed-GEMM slot of `pb` (logical layout
-/// `[n², C, B·T]`: batch item = tap, row = input channel, column =
-/// global tile index).
+/// Quantizes each tap onto its i8 grid (≡ `quantize_i8_taps`) and
+/// stores it in its packed-GEMM slot (≡ permute + pack).
+struct PanelSink<'a> {
+    pb: &'a mut PackedBI8,
+    scales: &'a [f32],
+    qmaxes: &'a [i32],
+}
+
+impl TapSink for PanelSink<'_> {
+    #[inline(always)]
+    fn put(&mut self, tap: usize, ch: usize, g0: usize, live: usize, vals: &[f32; LANES]) {
+        let (s, qmax) = (self.scales[tap], self.qmaxes[tap]);
+        let mut q = [0i16; LANES];
+        for (q, &v) in q.iter_mut().zip(vals) {
+            *q = round_clamp_i32(v / s, qmax) as i16;
+        }
+        for (lane, &q) in q[..live].iter().enumerate() {
+            *self.pb.slot(tap, ch, g0 + lane) = q;
+        }
+    }
+}
+
+/// Fused input half: walk the already-snapped input `xq` through
+/// `Bᵀ·d·B` with a `Q(Bᵀ·d)` snap between the two one-sided products,
+/// quantize each tap onto its i8 grid, and write the value straight into
+/// its packed-GEMM slot of `pb` (logical layout `[n², C, B·T]`: batch
+/// item = tap, row = input channel, column = global tile index).
 ///
 /// Replaces `pad_tiles → gather_tiles → matmul_nt(bt) → fake_quant →
 /// tile_transpose → matmul_nt(bt) → tile_transpose → quantize_i8_taps →
@@ -70,7 +74,8 @@ pub(crate) struct FrontQuant<'a> {
 ///
 /// # Panics
 ///
-/// Panics if shapes disagree with the geometry or `n > MAX_TILE`.
+/// Panics if shapes disagree with the geometry or the tile edge is not
+/// one [`crate::fused_walk::supports_tile`] lists.
 pub(crate) fn fused_input_pack(
     xq: &Tensor,
     bt: &Tensor,
@@ -78,130 +83,29 @@ pub(crate) fn fused_input_pack(
     fq: &FrontQuant,
     pb: &mut PackedBI8,
 ) {
-    match geom.tile() {
-        4 => front_impl::<4>(xq, bt, geom, fq, pb),
-        6 => front_impl::<6>(xq, bt, geom, fq, pb),
-        8 => front_impl::<8>(xq, bt, geom, fq, pb),
-        n => panic!("fused input transform does not support tile edge {n}"),
-    }
-}
-
-fn front_impl<const N: usize>(
-    xq: &Tensor,
-    bt: &Tensor,
-    geom: &TileGeometry,
-    fq: &FrontQuant,
-    pb: &mut PackedBI8,
-) {
-    assert_eq!(bt.shape(), &[N, N], "Bᵀ shape mismatch");
-    let (batch, c_in) = (xq.dim(0), xq.dim(1));
-    let (h, w) = (geom.in_h, geom.in_w);
-    assert_eq!(
-        (xq.dim(2), xq.dim(3)),
-        (h, w),
-        "input does not match geometry"
-    );
-    assert_eq!(fq.v_scales.len(), N * N, "per-tap scale count mismatch");
-    assert_eq!(fq.v_qmaxes.len(), N * N, "per-tap qmax count mismatch");
-    assert_eq!(pb.batch(), N * N, "packed operand tap count mismatch");
-    assert_eq!(pb.k(), c_in, "packed operand channel count mismatch");
+    let taps = geom.tile() * geom.tile();
+    assert_eq!(fq.v_scales.len(), taps, "per-tap scale count mismatch");
+    assert_eq!(fq.v_qmaxes.len(), taps, "per-tap qmax count mismatch");
+    assert_eq!(pb.batch(), taps, "packed operand tap count mismatch");
+    assert_eq!(pb.k(), xq.dim(1), "packed operand channel count mismatch");
     assert_eq!(
         pb.n(),
-        batch * geom.tiles(),
+        xq.dim(0) * geom.tiles(),
         "packed operand tile count mismatch"
     );
-
-    // fixed-size local copies: every index below is provably in bounds,
-    // so the unrolled tile loops compile check-free
-    let mut btl = [0f32; MAX_TILE * MAX_TILE];
-    btl[..N * N].copy_from_slice(bt.data());
-    // B itself (Bᵀ transposed): lets the first product broadcast one `d`
-    // element against a contiguous row, vectorizing over `j`
-    let mut btt = [0f32; MAX_TILE * MAX_TILE];
-    for j in 0..N {
-        for q in 0..N {
-            btt[q * N + j] = btl[j * N + q];
-        }
-    }
-    let mut vs = [1f32; MAX_TILE * MAX_TILE];
-    vs[..N * N].copy_from_slice(fq.v_scales);
-    let mut vqm = [0i32; MAX_TILE * MAX_TILE];
-    vqm[..N * N].copy_from_slice(fq.v_qmaxes);
-
-    let t_per = geom.tiles();
-    let src = xq.data();
-    let mut d = [0f32; MAX_TILE * MAX_TILE];
-    let mut u = [0f32; MAX_TILE * MAX_TILE];
-    let mut v = [0f32; MAX_TILE * MAX_TILE];
-    let mut qv = [0i16; MAX_TILE * MAX_TILE];
-    for img in 0..batch {
-        for ty in 0..geom.tiles_y {
-            let y0 = (ty * geom.m) as isize - geom.pad as isize;
-            for tx in 0..geom.tiles_x {
-                let x0 = (tx * geom.m) as isize - geom.pad as isize;
-                let tile_g = img * t_per + ty * geom.tiles_x + tx;
-                for c in 0..c_in {
-                    // gather d with implicit zero padding (≡ pad_tiles +
-                    // gather_tiles, which read zeros from the pad halo);
-                    // the in-bounds span is copied wholesale, branch-free
-                    let plane = &src[(img * c_in + c) * h * w..][..h * w];
-                    let lo = (-x0).clamp(0, N as isize) as usize;
-                    let hi = (w as isize - x0).clamp(0, N as isize) as usize;
-                    for dy in 0..N {
-                        let yy = y0 + dy as isize;
-                        let row = &mut d[dy * N..dy * N + N];
-                        if yy < 0 || yy >= h as isize || lo >= hi {
-                            row.fill(0.0);
-                            continue;
-                        }
-                        row[..lo].fill(0.0);
-                        row[hi..].fill(0.0);
-                        let srow = yy as usize * w + (x0 + lo as isize) as usize;
-                        row[lo..hi].copy_from_slice(&plane[srow..srow + (hi - lo)]);
-                    }
-                    // u = d·Bᵀᵀ then the flat Q_bd snap (≡ matmul_nt +
-                    // fake_quant). Broadcast-accumulate form: each
-                    // u[p, j] still sums in ascending `q`, bit-identical
-                    // to the GEMM micro-kernel, but the inner loop runs
-                    // over a contiguous row and vectorizes.
-                    u[..N * N].fill(0.0);
-                    for p in 0..N {
-                        let urow = &mut u[p * N..p * N + N];
-                        for q in 0..N {
-                            let dv = d[p * N + q];
-                            let brow = &btt[q * N..q * N + N];
-                            for (cell, &bv) in urow.iter_mut().zip(brow) {
-                                *cell += dv * bv;
-                            }
-                        }
-                    }
-                    for cell in u[..N * N].iter_mut() {
-                        *cell = round_clamp_i32(*cell / fq.s_bd, fq.qmax_bd) as f32 * fq.s_bd;
-                    }
-                    // tap (i, j): v[i, j] = Σ_p bt[i, p]·u[p, j], same
-                    // broadcast form (u rows are contiguous in j), then
-                    // quantized straight into the packed slots (≡
-                    // tile_transpose + matmul_nt + tile_transpose +
-                    // quantize + permute + pack)
-                    v[..N * N].fill(0.0);
-                    for i in 0..N {
-                        let vrow = &mut v[i * N..i * N + N];
-                        for p in 0..N {
-                            let bv = btl[i * N + p];
-                            let urow = &u[p * N..p * N + N];
-                            for (cell, &uv) in vrow.iter_mut().zip(urow) {
-                                *cell += bv * uv;
-                            }
-                        }
-                    }
-                    for (t, cell) in qv[..N * N].iter_mut().enumerate() {
-                        *cell = round_clamp_i32(v[t] / vs[t], vqm[t]) as i16;
-                    }
-                    pb.write_taps(c, tile_g, &qv[..N * N]);
-                }
-            }
-        }
-    }
+    let snaps = FrontSnaps {
+        bd: Some(Snap {
+            scale: fq.s_bd,
+            qmax: fq.qmax_bd,
+        }),
+        ..FrontSnaps::default()
+    };
+    let mut sink = PanelSink {
+        pb,
+        scales: fq.v_scales,
+        qmaxes: fq.v_qmaxes,
+    };
+    input_walk(xq, bt, geom, &snaps, &mut sink);
 }
 
 /// Quantization parameters of the fused output half: the per-tap
@@ -225,6 +129,28 @@ pub(crate) struct BackQuant<'a> {
     pub qmax_aya: i32,
 }
 
+/// Reads `[n², K, B·T]` i32 accumulators onto the Hadamard grid (≡ the
+/// per-tap `Requantizer` pass of the op-by-op path).
+struct RequantSource<'a> {
+    acc: &'a [i32],
+    channels: usize,
+    tiles: usize,
+    bq: &'a BackQuant<'a>,
+}
+
+impl TapSource for RequantSource<'_> {
+    #[inline(always)]
+    fn get(&self, tap: usize, ch: usize, g0: usize, live: usize) -> [f32; LANES] {
+        let o = (tap * self.channels + ch) * self.tiles + g0;
+        let req = self.bq.reqs[tap];
+        let mut v = [0f32; LANES];
+        for (v, &a) in v.iter_mut().zip(&self.acc[o..o + live]) {
+            *v = req.apply_clamped(a, self.bq.qmax_h) as f32 * self.bq.s_h;
+        }
+        v
+    }
+}
+
 /// Fused output half: requantize each tile's `n²` i32 accumulators onto
 /// the Hadamard grid, apply `Aᵀ·y·A` with a `Q(Aᵀ·y)` snap between the
 /// one-sided products, add the bias, snap onto the output grid and write
@@ -237,7 +163,8 @@ pub(crate) struct BackQuant<'a> {
 ///
 /// # Panics
 ///
-/// Panics if shapes disagree with the geometry or `n > MAX_TILE`.
+/// Panics if shapes disagree with the geometry or the tile shape is not
+/// one [`crate::fused_walk::supports_tile`] lists.
 pub(crate) fn fused_requant_output(
     acc: &[i32],
     at: &Tensor,
@@ -247,116 +174,31 @@ pub(crate) fn fused_requant_output(
     bias: Option<&[f32]>,
     bq: &BackQuant,
 ) -> Tensor {
-    match (geom.tile(), geom.m) {
-        (4, 2) => back_impl::<4, 2>(acc, at, geom, batch, out_ch, bias, bq),
-        (6, 4) => back_impl::<6, 4>(acc, at, geom, batch, out_ch, bias, bq),
-        (8, 6) => back_impl::<8, 6>(acc, at, geom, batch, out_ch, bias, bq),
-        (n, m) => panic!("fused output transform does not support tile shape ({n}, {m})"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // internal monomorphization target of fused_requant_output
-fn back_impl<const N: usize, const M: usize>(
-    acc: &[i32],
-    at: &Tensor,
-    geom: &TileGeometry,
-    batch: usize,
-    out_ch: usize,
-    bias: Option<&[f32]>,
-    bq: &BackQuant,
-) -> Tensor {
-    assert_eq!(at.shape(), &[M, N], "Aᵀ shape mismatch");
-    let t_per = geom.tiles();
-    let total_tiles = batch * t_per;
+    let taps = geom.tile() * geom.tile();
+    let tiles = batch * geom.tiles();
     assert_eq!(
         acc.len(),
-        N * N * out_ch * total_tiles,
+        taps * out_ch * tiles,
         "accumulator length mismatch"
     );
-    assert_eq!(bq.reqs.len(), N * N, "requantizer count mismatch");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), out_ch, "bias length mismatch");
-    }
-
-    let mut atl = [0f32; MAX_TILE * MAX_TILE];
-    atl[..M * N].copy_from_slice(at.data());
-    // A itself (Aᵀ transposed, [N, M]): lets the first product broadcast
-    // one `y` element against a contiguous row, vectorizing over `j`
-    let mut att = [0f32; MAX_TILE * MAX_TILE];
-    for j in 0..M {
-        for q in 0..N {
-            att[q * M + j] = atl[j * N + q];
-        }
-    }
-    let mut reqs = [Requantizer::new(1.0); MAX_TILE * MAX_TILE];
-    reqs[..N * N].copy_from_slice(bq.reqs);
-
-    let (oh, ow) = (geom.out_h, geom.out_w);
-    let mut out = Tensor::zeros(&[batch, out_ch, oh, ow]);
-    let dst = out.data_mut();
-    let mut y = [0f32; MAX_TILE * MAX_TILE];
-    let mut u = [0f32; MAX_TILE * MAX_TILE];
-    let mut f = [0f32; MAX_TILE * MAX_TILE];
-    for img in 0..batch {
-        for k in 0..out_ch {
-            let b = bias.map_or(0.0, |b| b[k]);
-            let d0 = (img * out_ch + k) * oh * ow;
-            for ty in 0..geom.tiles_y {
-                let y0 = ty * M;
-                let ylim = M.min(oh.saturating_sub(y0));
-                for tx in 0..geom.tiles_x {
-                    let x0 = tx * M;
-                    let xlim = M.min(ow.saturating_sub(x0));
-                    let tile_g = img * t_per + ty * geom.tiles_x + tx;
-                    // requantize the tile's accumulators onto the
-                    // Hadamard grid (≡ the per-tap Requantizer pass)
-                    for (t, cell) in y[..N * N].iter_mut().enumerate() {
-                        let a = acc[(t * out_ch + k) * total_tiles + tile_g];
-                        *cell = reqs[t].apply_clamped(a, bq.qmax_h) as f32 * bq.s_h;
-                    }
-                    // u = y·Aᵀᵀ then the flat Q_ay snap (≡ matmul_nt +
-                    // fake_quant). Broadcast-accumulate form: ascending
-                    // `q` per element, contiguous inner rows.
-                    u[..N * M].fill(0.0);
-                    for p in 0..N {
-                        let urow = &mut u[p * M..p * M + M];
-                        for q in 0..N {
-                            let yv = y[p * N + q];
-                            let arow = &att[q * M..q * M + M];
-                            for (cell, &av) in urow.iter_mut().zip(arow) {
-                                *cell += yv * av;
-                            }
-                        }
-                    }
-                    for cell in u[..N * M].iter_mut() {
-                        *cell = round_clamp_i32(*cell / bq.s_ay, bq.qmax_ay) as f32 * bq.s_ay;
-                    }
-                    // f[dy, dx] = Σ_p at[dy, p]·u[p, dx], same form
-                    f[..M * M].fill(0.0);
-                    for dy in 0..M {
-                        let frow = &mut f[dy * M..dy * M + M];
-                        for p in 0..N {
-                            let av = atl[dy * N + p];
-                            let urow = &u[p * M..p * M + M];
-                            for (cell, &uv) in frow.iter_mut().zip(urow) {
-                                *cell += av * uv;
-                            }
-                        }
-                    }
-                    // out = Q_aya(f + bias), cropped to the live region
-                    for dy in 0..ylim {
-                        let drow = d0 + (y0 + dy) * ow + x0;
-                        for dx in 0..xlim {
-                            let v = f[dy * M + dx] + b;
-                            dst[drow + dx] =
-                                round_clamp_i32(v / bq.s_aya, bq.qmax_aya) as f32 * bq.s_aya;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
+    assert_eq!(bq.reqs.len(), taps, "requantizer count mismatch");
+    let src = RequantSource {
+        acc,
+        channels: out_ch,
+        tiles,
+        bq,
+    };
+    let snaps = BackSnaps {
+        ay: Some(Snap {
+            scale: bq.s_ay,
+            qmax: bq.qmax_ay,
+        }),
+        aya: Some(Snap {
+            scale: bq.s_aya,
+            qmax: bq.qmax_aya,
+        }),
+    };
+    output_walk(&src, at, geom, batch, out_ch, bias, &snaps)
 }
 
 #[cfg(test)]

@@ -59,6 +59,7 @@
 //! ```
 
 mod conv_layer;
+mod fused_walk;
 mod int8_pipeline;
 mod spec;
 mod trainer;

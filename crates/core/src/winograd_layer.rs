@@ -7,12 +7,14 @@ use wa_nn::{
     QuantConfig, QuantStateMut, Tape, Var, WaError,
 };
 use wa_quant::{quantize_i8_taps, BitWidth, Execution, Observer, Requantizer, TapPolicy, TapQuant};
-use wa_tensor::{gemm_i8_prepacked, PackedAI8, PackedBI8, SeededRng, Tensor};
+use wa_tensor::{gemm_batched, gemm_i8_prepacked, PackedAI8, PackedBI8, SeededRng, Tensor};
 use wa_winograd::{TileGeometry, WinogradTransform};
 
-use crate::int8_pipeline::{
-    fused_input_pack, fused_requant_output, supports_tile, BackQuant, FrontQuant,
+use crate::fused_walk::{
+    input_walk, output_walk, supports_tile, with_scratch, BackSnaps, FrontSnaps, PlaneSink,
+    ProductSource, Snap, MAX_TAPS,
 };
+use crate::int8_pipeline::{fused_input_pack, fused_requant_output, BackQuant, FrontQuant};
 use crate::spec::ConvSpec;
 
 /// Identifies one quantization point `Qx` of Figure 2.
@@ -109,8 +111,8 @@ impl WinogradObservers {
 }
 
 /// Prepacked integer Winograd-domain filter for the [`Execution::Int8`]
-/// path: the memoized `G·g·Gᵀ` rows re-quantized to `i8` (exact when the
-/// weight-side sites are calibrated — the cached values already sit on
+/// path: the quantized `G·g·Gᵀ` rows re-quantized to `i8` (exact when the
+/// weight-side sites are calibrated — the derived values already sit on
 /// the quantization grid), permuted into `[n², K, C]` order and packed
 /// once into the [`gemm_i8_prepacked`] left-operand layout (widened
 /// i16), together with the per-tap scales they were quantized under (a
@@ -150,6 +152,31 @@ fn warm_scale(obs: &Observer, bits: BitWidth, x: &Tensor) -> f32 {
     }
 }
 
+/// A per-layer site as the fused walks take it: `Some(None)` passes
+/// values through (FP32), `Some(Some(_))` snaps at the observer's settled
+/// scale, `None` means the site quantizes but is cold — its one-off scale
+/// would need the whole intermediate tensor, which only the tape has.
+fn warm_snap(obs: &Observer, bits: BitWidth) -> Option<Option<Snap>> {
+    if bits.is_float() {
+        Some(None)
+    } else if obs.observations() > 0 {
+        Some(Some(Snap {
+            scale: obs.scale(bits),
+            qmax: bits.qmax(),
+        }))
+    } else {
+        None
+    }
+}
+
+/// Every activation-side quantization site of a layer whose sites are
+/// all pass-through or warm, in the form the fused walks take them.
+struct ActSnaps {
+    front: FrontSnaps,
+    hadamard: Option<Snap>,
+    back: BackSnaps,
+}
+
 /// How the pipeline obtains the Winograd-domain filter `G·g·Gᵀ`.
 #[derive(Clone, Copy)]
 enum FilterVars {
@@ -162,9 +189,10 @@ enum FilterVars {
         /// Filter transform `G` `[n, r]`.
         g: Var,
     },
-    /// The already-quantized transform rows `[K·C, n²]`, computed once
-    /// and injected as a leaf — the weights are constant across a batch,
-    /// so inference reuses one derivation for every chunk.
+    /// The already-quantized transform, tap-major `[n², K, C]` (the tap
+    /// GEMM's left operand as it is), computed once and injected as a
+    /// leaf — the weights are constant across a batch, so inference
+    /// reuses one derivation for every chunk.
     Transformed(Var),
 }
 
@@ -273,8 +301,8 @@ fn winograd_pipeline(
         quant(tape, v_rows, abits, QuantSite::Bdb)
     };
 
-    // -- filter transform GgGᵀ (or the precomputed rows)
-    let u_rows = match (vars.filter, wq) {
+    // -- filter transform GgGᵀ (or the precomputed tap-major one)
+    let u = match (vars.filter, wq) {
         (FilterVars::Spatial { g, .. }, Some(wq)) => filter_u_rows(tape, wq, g, cfg, quant),
         (FilterVars::Transformed(u), _) => u,
         (FilterVars::Spatial { .. }, None) => unreachable!("wq is Some iff filter is Spatial"),
@@ -285,7 +313,10 @@ fn winograd_pipeline(
     let mm = {
         let _span = wa_obs::stage_span!("winograd.gemm");
         let v_p = tape.permute3(v_rows, [total_tiles, in_ch, n * n], [2, 1, 0]); // [n², C, T]
-        let u_p = tape.permute3(u_rows, [out_ch, in_ch, n * n], [2, 0, 1]); // [n², K, C]
+        let u_p = match vars.filter {
+            FilterVars::Spatial { .. } => tape.permute3(u, [out_ch, in_ch, n * n], [2, 0, 1]),
+            FilterVars::Transformed(_) => u,
+        }; // [n², K, C]
         let mm = tape.bmm(u_p, v_p, n * n, out_ch, in_ch, total_tiles); // [n², K, T]
         quant(tape, mm, abits, QuantSite::Hadamard)
     };
@@ -369,11 +400,15 @@ pub struct WinogradAwareConv2d {
     r: usize,
     pad: usize,
     obs: WinogradObservers,
-    /// Memoized quantized Winograd-domain filter `G·g·Gᵀ` rows
-    /// (`[K·C, n²]`), tagged with the [`QuantConfig`] it was derived
-    /// under. The weights are constant across a batch, so the [`Infer`]
-    /// path derives this once and reuses it for every chunk of every
-    /// [`wa_nn::BatchExecutor`] run instead of re-transforming per chunk.
+    /// Memoized quantized Winograd-domain filter `G·g·Gᵀ`, stored
+    /// **tap-major** `[n², K, C]` — the tap GEMM's left operand as it is,
+    /// the one layout inference reads — and tagged with the
+    /// [`QuantConfig`] it was derived under. The weights are constant
+    /// across a batch, so the [`Infer`] path derives this once and reuses
+    /// it for every chunk of every [`wa_nn::BatchExecutor`] run instead
+    /// of re-transforming (or re-permuting) per chunk. Only f32-GEMM
+    /// layers fill it; an [`Execution::Int8`] layer keeps its
+    /// [`Int8Filter`] alone.
     /// Tensor storage is copy-on-write, so handing the memoized value out
     /// is a *shared handle* (an O(1) refcount bump): every worker tape
     /// aliases one transform buffer rather than receiving a guarded copy.
@@ -384,7 +419,7 @@ pub struct WinogradAwareConv2d {
     /// [`WinogradAwareConv2d::invalidate_filter_cache`].
     filter_cache: Mutex<Option<(QuantConfig, Tensor)>>,
     /// Memoized [`Int8Filter`] for the [`Execution::Int8`] path, derived
-    /// from [`WinogradAwareConv2d::cached_filter`] and shared across
+    /// from [`WinogradAwareConv2d::filter_rows`] and shared across
     /// [`wa_nn::BatchExecutor`] workers as an `Arc` handle. Invalidated
     /// together with `filter_cache`.
     filter_cache_i8: Mutex<Option<(QuantConfig, Arc<Int8Filter>)>>,
@@ -571,13 +606,12 @@ impl WinogradAwareConv2d {
             .expect("int8 filter cache lock poisoned") = None;
     }
 
-    /// The quantized `G·g·Gᵀ` rows for the current weights/quant config,
-    /// derived on a scratch tape the first time and memoized. Values are
-    /// bit-identical to the inline derivation: the same
-    /// [`filter_u_rows`] ops run on the same inputs through the same
-    /// read-only `Q` sites. The returned tensor is a shared handle onto
-    /// the cached buffer (copy-on-write storage), so concurrent callers
-    /// cost one refcount bump each, not a buffer copy.
+    /// The tap-major quantized `G·g·Gᵀ` (`[n², K, C]`) for the current
+    /// weights/quant config, derived the first time and memoized: the
+    /// [`WinogradAwareConv2d::filter_rows`] laid out once the way the
+    /// training pipeline permutes them per step. The returned tensor is
+    /// a shared handle onto the cached buffer (copy-on-write storage), so
+    /// concurrent callers cost one refcount bump each, not a buffer copy.
     fn cached_filter(&self) -> Tensor {
         let mut guard = self
             .filter_cache
@@ -588,6 +622,25 @@ impl WinogradAwareConv2d {
                 return t.clone();
             }
         }
+        let taps = self.input_tile() * self.input_tile();
+        let dims = [self.out_channels(), self.in_channels(), taps];
+        // on a tape of its own: the derivation's intermediates are gone
+        // before the permuted copy is allocated
+        let mut tape = Tape::new();
+        let u_rows = tape.leaf(self.filter_rows());
+        let u_p = tape.permute3(u_rows, dims, [2, 0, 1]);
+        let value = tape.value(u_p).clone();
+        *guard = Some((self.quant, value.clone()));
+        value
+    }
+
+    /// The quantized `G·g·Gᵀ` rows `[K·C, n²]` for the current
+    /// weights/quant config, derived on a scratch tape. Values are
+    /// bit-identical to the inline derivation: the same
+    /// [`filter_u_rows`] ops run on the same inputs through the same
+    /// read-only `Q` sites. Not memoized — the callers lay the rows out
+    /// for their GEMM and cache that.
+    fn filter_rows(&self) -> Tensor {
         let cfg = self.pipeline_cfg();
         let policy = self.quant.transform;
         let mut tape = Tape::new();
@@ -606,9 +659,7 @@ impl WinogradAwareConv2d {
                 _ => infer_quant(t, v, bits, self.obs.site(site)),
             },
         );
-        let value = tape.value(u).clone();
-        *guard = Some((self.quant, value.clone()));
-        value
+        tape.value(u).clone()
     }
 
     /// Rejects tap bit-widths the `i8` kernel cannot carry (`FP32` or
@@ -635,8 +686,8 @@ impl WinogradAwareConv2d {
     }
 
     /// The prepacked integer filter for the current weights/quant config.
-    /// Re-quantizing [`WinogradAwareConv2d::cached_filter`] is exact on
-    /// calibrated state: the cached values already sit on the `G·g·Gᵀ`
+    /// Re-quantizing [`WinogradAwareConv2d::filter_rows`] is exact on
+    /// calibrated state: the derived values already sit on the `G·g·Gᵀ`
     /// site's grid, so `round(q·s/s) = q` recovers the integers
     /// bit-for-bit. (A never-calibrated site derives a one-off scale from
     /// the quantized rows themselves, which may drift sub-quantum — the
@@ -654,8 +705,8 @@ impl WinogradAwareConv2d {
                 }
             }
         }
-        // derive outside the i8 lock: cached_filter takes its own lock
-        let u = self.cached_filter(); // [K·C, n²], values on the Ggt grid
+        // a temporary: only the packed i8 form stays resident
+        let u = self.filter_rows(); // [K·C, n²], values on the Ggt grid
         let taps = self.input_tile() * self.input_tile();
         let wbits = self.quant.weights;
         let (u_bits, u_scales) = match self.quant.transform {
@@ -735,15 +786,7 @@ impl WinogradAwareConv2d {
         let (in_ch, out_ch) = (cfg.in_ch, cfg.out_ch);
         let abits = cfg.abits;
 
-        let warm = self.obs.bd.observations() > 0
-            && self.obs.hadamard.observations() > 0
-            && self.obs.ay.observations() > 0
-            && self.obs.aya.observations() > 0
-            && match self.quant.transform {
-                TapPolicy::PerTap => self.obs.bdb_taps.observations() > 0,
-                TapPolicy::PerLayer => self.obs.bdb.observations() > 0,
-            };
-        if warm && supports_tile(n, m) {
+        if supports_tile(n, m) && self.act_snaps().is_some() {
             return self.infer_int8_fused(tape, x, &geom);
         }
 
@@ -857,11 +900,102 @@ impl WinogradAwareConv2d {
         Ok(infer_quant(tape, y, abits, &self.obs.aya))
     }
 
+    /// The activation-side sites for the fused walks, or `None` if any
+    /// site that quantizes is cold. The test is "pass-through or warm"
+    /// per site, not `quant == FP32`: an FP32 base with per-tap bit
+    /// overrides still snaps those taps.
+    fn act_snaps(&self) -> Option<ActSnaps> {
+        let abits = self.quant.activations;
+        let obs = &self.obs;
+        let mut bdb = [None; MAX_TAPS];
+        match self.quant.transform {
+            TapPolicy::PerLayer => bdb.fill(warm_snap(&obs.bdb, abits)?),
+            TapPolicy::PerTap => {
+                let tq = &obs.bdb_taps;
+                if !abits.is_float() || tq.bit_overrides().is_some() {
+                    if tq.observations() == 0 {
+                        return None;
+                    }
+                    let bits = tq.effective_bits(abits);
+                    let scales = tq.scales_for(&bits);
+                    for ((snap, &b), &scale) in bdb.iter_mut().zip(&bits).zip(&scales) {
+                        if !b.is_float() {
+                            *snap = Some(Snap {
+                                scale,
+                                qmax: b.qmax(),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        Some(ActSnaps {
+            front: FrontSnaps {
+                input: warm_snap(&obs.input, abits)?,
+                bd: warm_snap(&obs.bd, abits)?,
+                bdb,
+            },
+            hadamard: warm_snap(&obs.hadamard, abits)?,
+            back: BackSnaps {
+                ay: warm_snap(&obs.ay, abits)?,
+                aya: warm_snap(&obs.aya, abits)?,
+            },
+        })
+    }
+
+    /// The fused f32 pass for a layer whose sites are all pass-through
+    /// or warm (FP32, and calibrated [`Execution::Fake`]): one tile walk
+    /// in, one batched tap GEMM against the tap-major cached filter, one
+    /// tile walk out — bit-identical to [`winograd_pipeline`], which
+    /// `tests/f32_fused_parity.rs` pins with `==`. `V` and `M` live in
+    /// per-thread scratch, so the call allocates its output tensor only.
+    fn infer_fused(&self, tape: &mut Tape, x: Var, snaps: &ActSnaps) -> Var {
+        let xt = tape.value(x);
+        let geom = TileGeometry::for_conv(xt.dim(2), xt.dim(3), self.m, self.r, self.pad);
+        let taps = geom.tile() * geom.tile();
+        let (batch, in_ch, out_ch) = (xt.dim(0), self.in_channels(), self.out_channels());
+        let tiles = batch * geom.tiles();
+        let u = self.cached_filter();
+        let y = with_scratch(taps * in_ch * tiles, taps * out_ch * tiles, |v, mm| {
+            {
+                let _span = wa_obs::stage_span!("winograd.input_transform");
+                let mut sink = PlaneSink {
+                    dst: v,
+                    channels: in_ch,
+                    tiles,
+                };
+                input_walk(xt, &self.bt.value, &geom, &snaps.front, &mut sink);
+            }
+            {
+                let _span = wa_obs::stage_span!("winograd.gemm");
+                gemm_batched(u.data(), v, mm, taps, out_ch, in_ch, tiles);
+            }
+            let _span = wa_obs::stage_span!("winograd.output_transform");
+            let src = ProductSource {
+                src: mm,
+                channels: out_ch,
+                tiles,
+                hadamard: snaps.hadamard,
+            };
+            output_walk(
+                &src,
+                &self.at.value,
+                &geom,
+                batch,
+                out_ch,
+                self.bias.as_ref().map(|b| b.value.data()),
+                &snaps.back,
+            )
+        });
+        tape.leaf(y)
+    }
+
     /// The fused [`Execution::Int8`] pass for a calibrated layer: one
-    /// eager tile walk per half plus the prepacked integer GEMM. Every
-    /// quantization site must be warm and `n ≤ MAX_TILE` (the caller's
-    /// dispatch guarantees both). Bit-identical to the op-by-op path —
-    /// the `int8_pipeline` unit tests pin the equivalence with `==`.
+    /// tile walk per half plus the prepacked integer GEMM. Every
+    /// quantization site must be warm and the tile shape supported (the
+    /// caller's dispatch guarantees both). Bit-identical to the op-by-op
+    /// path — the `int8_pipeline` unit tests pin the equivalence with
+    /// `==`.
     fn infer_int8_fused(
         &self,
         tape: &mut Tape,
@@ -1098,10 +1232,18 @@ impl Infer for WinogradAwareConv2d {
         if self.quant.execution == Execution::Int8 {
             return self.infer_int8(tape, x);
         }
+        if supports_tile(self.input_tile(), self.m) {
+            if let Some(snaps) = self.act_snaps() {
+                return Ok(self.infer_fused(tape, x, &snaps));
+            }
+        }
+        // cold observers derive one-off scales from whole intermediates,
+        // and unlisted tile shapes have no monomorphized walk: both
+        // replay the training pipeline on the tape
         let cfg = self.pipeline_cfg();
-        let u_rows = tape.leaf(self.cached_filter());
+        let u = tape.leaf(self.cached_filter());
         let vars = PipelineVars {
-            filter: FilterVars::Transformed(u_rows),
+            filter: FilterVars::Transformed(u),
             at: tape.param_ref(&self.at),
             bt: tape.param_ref(&self.bt),
             bias: self.bias.as_ref().map(|b| tape.param_ref(b)),
