@@ -15,7 +15,7 @@ fn main() {
             s.l2_kb
         );
     }
-    println!("\nCalibrated model parameters (see DESIGN.md for the substitution):");
+    println!("\nCalibrated model parameters (see README.md, Substitutions):");
     println!(
         "{:<6} {:>10} {:>10} {:>8} {:>10} {:>9} {:>9}",
         "CPU", "MAC/c f32", "MAC/c i8", "B/cycle", "gemm ovh", "tf eff", "tile ovh"

@@ -5,10 +5,11 @@
 //! kernel benches (`cargo bench -p wa-bench`).
 //!
 //! Every binary prints the same rows/series the paper reports and appends
-//! a JSON record under `results/` for `EXPERIMENTS.md`. Absolute numbers
-//! differ from the paper (synthetic data, scaled-down training, modeled
-//! hardware — see `DESIGN.md`), but orderings and rough factors must
-//! match; the binaries assert the headline orderings where meaningful.
+//! a JSON record under `results/`. Absolute numbers differ from the
+//! paper (synthetic data, scaled-down training, modeled hardware — see
+//! the README's *Substitutions* section), but orderings and rough
+//! factors must match; the binaries assert the headline orderings where
+//! meaningful.
 //!
 //! Set `WA_FULL=1` for larger (slower) runs closer to the paper's scale.
 

@@ -22,7 +22,10 @@
 //! (two SSE registers; no shuffle, no horizontal sum) and each of the
 //! `n²` tap planes is read or written as a contiguous run. Tile edges are
 //! const generics, which unrolls the short dot products and hoists every
-//! bounds check; [`supports_tile`] lists the monomorphized shapes.
+//! bounds check. The walks are monomorphized for every shape a validated
+//! spec can name — `F(m, r)` with `m ∈ {2, 4, 6}` and `r ∈ {3, 5}`, i.e.
+//! `(n, m)` ∈ {(4,2), (6,4), (8,6), (6,2), (8,4), (10,6)} — so there is
+//! no other Winograd inference path.
 //!
 //! **Bit-exactness.** The oracle is the tape pipeline's op sequence:
 //! `u[p,j] = Σ_q d[p,q]·Bᵀ[j,q]` then `v[i,j] = Σ_p Bᵀ[i,p]·u[p,j]` (and
@@ -43,15 +46,8 @@ use wa_winograd::TileGeometry;
 /// Tiles processed side by side: one GEMM panel width, two SSE registers.
 pub(crate) const LANES: usize = 8;
 
-/// Largest supported tap count (`n²` at F6, `n = 8`).
-pub(crate) const MAX_TAPS: usize = 64;
-
-/// Whether the walks are monomorphized for this `(n, m)` tile shape:
-/// `F2/F4/F6 × r=3` and LeNet's `F(2, 5)`. Anything else takes the tape
-/// pipeline.
-pub(crate) fn supports_tile(n: usize, m: usize) -> bool {
-    matches!((n, m), (4, 2) | (6, 4) | (8, 6) | (6, 2))
-}
+/// Largest tap count (`n²` at `F(6, 5)`, `n = 10`).
+pub(crate) const MAX_TAPS: usize = 100;
 
 /// One warm quantization grid: `x ↦ clamp(round(x / scale), ±qmax) ·
 /// scale`, the per-element arithmetic of `fake_quant_scale`. A site that
@@ -289,7 +285,7 @@ impl TileCursor {
 /// # Panics
 ///
 /// Panics if `x`/`bt` disagree with the geometry or the tile edge is not
-/// one [`supports_tile`] lists.
+/// one a validated spec can name.
 pub(crate) fn input_walk<S: TapSink>(
     x: &Tensor,
     bt: &Tensor,
@@ -301,6 +297,7 @@ pub(crate) fn input_walk<S: TapSink>(
         4 => front::<4, S>(x, bt, geom, snaps, sink),
         6 => front::<6, S>(x, bt, geom, snaps, sink),
         8 => front::<8, S>(x, bt, geom, snaps, sink),
+        10 => front::<10, S>(x, bt, geom, snaps, sink),
         n => panic!("fused input transform does not support tile edge {n}"),
     }
 }
@@ -382,7 +379,7 @@ fn front<const N: usize, S: TapSink>(
 /// # Panics
 ///
 /// Panics if `at`/`bias` disagree with the geometry or the tile shape is
-/// not one [`supports_tile`] lists.
+/// not one a validated spec can name.
 pub(crate) fn output_walk<S: TapSource>(
     src: &S,
     at: &Tensor,
@@ -397,6 +394,8 @@ pub(crate) fn output_walk<S: TapSource>(
         (6, 4) => back::<6, 4, S>(src, at, geom, batch, out_ch, bias, snaps),
         (8, 6) => back::<8, 6, S>(src, at, geom, batch, out_ch, bias, snaps),
         (6, 2) => back::<6, 2, S>(src, at, geom, batch, out_ch, bias, snaps),
+        (8, 4) => back::<8, 4, S>(src, at, geom, batch, out_ch, bias, snaps),
+        (10, 6) => back::<10, 6, S>(src, at, geom, batch, out_ch, bias, snaps),
         (n, m) => panic!("fused output transform does not support tile shape ({n}, {m})"),
     }
 }

@@ -74,8 +74,7 @@ impl TapSink for PanelSink<'_> {
 ///
 /// # Panics
 ///
-/// Panics if shapes disagree with the geometry or the tile edge is not
-/// one [`crate::fused_walk::supports_tile`] lists.
+/// Panics if shapes disagree with the geometry.
 pub(crate) fn fused_input_pack(
     xq: &Tensor,
     bt: &Tensor,
@@ -163,8 +162,7 @@ impl TapSource for RequantSource<'_> {
 ///
 /// # Panics
 ///
-/// Panics if shapes disagree with the geometry or the tile shape is not
-/// one [`crate::fused_walk::supports_tile`] lists.
+/// Panics if shapes disagree with the geometry.
 pub(crate) fn fused_requant_output(
     acc: &[i32],
     at: &Tensor,
@@ -297,25 +295,30 @@ mod tests {
         tape.value(yq).clone()
     }
 
-    fn geometry_cases() -> Vec<(usize, TileGeometry)> {
-        // (m, geometry): exercises exact tiling, overrun cropping and
-        // pad = 0 alongside the usual "same" padding
+    fn geometry_cases() -> Vec<TileGeometry> {
+        // every F(m, r) shape: exercises exact tiling, overrun cropping
+        // and pad = 0 alongside the usual "same" padding
         vec![
-            (4, TileGeometry::for_conv(8, 8, 4, 3, 1)),
-            (4, TileGeometry::for_conv(7, 10, 4, 3, 1)),
-            (2, TileGeometry::for_conv(6, 5, 2, 3, 1)),
-            (2, TileGeometry::for_conv(5, 5, 2, 3, 0)),
+            TileGeometry::for_conv(8, 8, 4, 3, 1),
+            TileGeometry::for_conv(7, 10, 4, 3, 1),
+            TileGeometry::for_conv(6, 5, 2, 3, 1),
+            TileGeometry::for_conv(5, 5, 2, 3, 0),
+            TileGeometry::for_conv(9, 7, 6, 3, 1),
+            TileGeometry::for_conv(7, 9, 2, 5, 2),
+            TileGeometry::for_conv(8, 8, 4, 5, 2),
+            TileGeometry::for_conv(9, 6, 4, 5, 0),
+            TileGeometry::for_conv(11, 8, 6, 5, 2),
         ]
     }
 
     #[test]
     fn fused_front_matches_op_by_op_pipeline_exactly() {
         let mut rng = SeededRng::new(97);
-        for (m, geom) in geometry_cases() {
-            let n = geom.tile();
+        for geom in geometry_cases() {
+            let (m, r, n) = (geom.m, geom.r, geom.tile());
             let taps = n * n;
             let (batch, c_in) = (2usize, 3usize);
-            let tr = WinogradTransform::cook_toom(m, 3);
+            let tr = WinogradTransform::cook_toom(m, r);
             let bt = tr.bt().clone();
             let xq = rng.uniform_tensor(&[batch, c_in, geom.in_h, geom.in_w], -1.0, 1.0);
             // snap the input like the real pipeline (values on a grid)
@@ -336,7 +339,7 @@ mod tests {
             assert_eq!(
                 pb.unpack(),
                 reference,
-                "m={m} geom {}x{}",
+                "F({m},{r}) geom {}x{}",
                 geom.in_h,
                 geom.in_w
             );
@@ -346,11 +349,11 @@ mod tests {
     #[test]
     fn fused_back_matches_op_by_op_pipeline_exactly() {
         let mut rng = SeededRng::new(131);
-        for (m, geom) in geometry_cases() {
-            let n = geom.tile();
+        for geom in geometry_cases() {
+            let (m, r, n) = (geom.m, geom.r, geom.tile());
             let taps = n * n;
             let (batch, out_ch) = (2usize, 4usize);
-            let tr = WinogradTransform::cook_toom(m, 3);
+            let tr = WinogradTransform::cook_toom(m, r);
             let at = tr.at().clone();
             let total_tiles = batch * geom.tiles();
             let acc: Vec<i32> = (0..taps * out_ch * total_tiles)
@@ -384,7 +387,7 @@ mod tests {
                 assert_eq!(
                     fused.data(),
                     reference.data(),
-                    "m={m} geom {}x{} bias={}",
+                    "F({m},{r}) geom {}x{} bias={}",
                     geom.in_h,
                     geom.in_w,
                     bias.is_some()

@@ -6,7 +6,7 @@
 //! * [`ConvSpec`] — the typed, validated description of one convolution:
 //!   geometry, [`ConvAlgo`] and quantization. Built through
 //!   `ConvSpec::builder()`, which enforces every paper constraint
-//!   (nonzero dims; Winograd ⇒ stride 1, odd kernel ≥ 3, tile size
+//!   (nonzero dims; Winograd ⇒ stride 1, kernel `r ∈ {3, 5}`, tile size
 //!   `m ∈ {2, 4, 6}`) and returns `Result<_, WaError>` instead of
 //!   panicking.
 //! * [`WinogradAwareConv2d`] — a convolution layer evaluated explicitly as

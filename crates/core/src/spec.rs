@@ -34,6 +34,11 @@ use crate::conv_layer::ConvAlgo;
 /// F4 and F6 configurations, §5.1).
 pub const SUPPORTED_TILE_SIZES: [usize; 3] = [2, 4, 6];
 
+/// Kernel sizes a Winograd layer accepts: the paper's `r ∈ {3, 5}`. With
+/// [`SUPPORTED_TILE_SIZES`] this fixes the six `F(m, r)` shapes the fused
+/// inference walk is instantiated for.
+const SUPPORTED_KERNELS: [usize; 2] = [3, 5];
+
 /// Validated configuration of an algorithm-switchable convolution layer.
 ///
 /// Beyond the geometric constraints of a plain convolution, building a
@@ -41,9 +46,12 @@ pub const SUPPORTED_TILE_SIZES: [usize; 3] = [2, 4, 6];
 ///
 /// * stride must be 1 ("there is no known equivalent for strided
 ///   Winograd convolutions", §5.1);
-/// * the kernel must be odd and ≥ 3 (Cook-Toom `F(m×m, r×r)` with
+/// * the kernel must be 3 or 5 (Cook-Toom `F(m×m, r×r)` with
 ///   `r ∈ {3, 5}` in the paper; even kernels have no centered transform);
 /// * the output tile `m` must come from [`SUPPORTED_TILE_SIZES`].
+///
+/// Every spec that passes runs on the fused inference walk: `(m, r)`
+/// ranges over exactly the six shapes it is instantiated for.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ConvSpec {
     /// Layer name (parameter-name prefix).
@@ -172,10 +180,10 @@ pub fn validate_algo_geometry(algo: ConvAlgo, kernel: usize, stride: usize) -> R
             format!("Winograd requires stride 1 (paper §5.1), got {stride}"),
         ));
     }
-    if kernel < 3 || kernel.is_multiple_of(2) {
+    if !SUPPORTED_KERNELS.contains(&kernel) {
         return Err(WaError::unsupported(
             algo,
-            format!("Winograd requires an odd kernel >= 3, got {kernel}"),
+            format!("Winograd requires a kernel in {SUPPORTED_KERNELS:?}, got {kernel}"),
         ));
     }
     Ok(())
@@ -258,7 +266,8 @@ impl ConvSpecBuilder {
     ///
     /// [`WaError::InvalidSpec`] on zero dimensions;
     /// [`WaError::UnsupportedAlgo`] if a Winograd algorithm is combined
-    /// with stride ≠ 1, an even/short kernel, or an unsupported tile size.
+    /// with stride ≠ 1, a kernel other than 3 or 5, or an unsupported
+    /// tile size.
     pub fn build(self) -> Result<ConvSpec, WaError> {
         let spec = ConvSpec {
             pad: self.pad.unwrap_or(self.kernel / 2),

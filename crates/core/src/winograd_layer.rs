@@ -11,8 +11,8 @@ use wa_tensor::{gemm_batched, gemm_i8_prepacked, PackedAI8, PackedBI8, SeededRng
 use wa_winograd::{TileGeometry, WinogradTransform};
 
 use crate::fused_walk::{
-    input_walk, output_walk, supports_tile, with_scratch, BackSnaps, FrontSnaps, PlaneSink,
-    ProductSource, Snap, MAX_TAPS,
+    input_walk, output_walk, with_scratch, BackSnaps, FrontSnaps, PlaneSink, ProductSource, Snap,
+    MAX_TAPS,
 };
 use crate::int8_pipeline::{fused_input_pack, fused_requant_output, BackQuant, FrontQuant};
 use crate::spec::ConvSpec;
@@ -111,9 +111,9 @@ impl WinogradObservers {
 }
 
 /// Prepacked integer Winograd-domain filter for the [`Execution::Int8`]
-/// path: the quantized `G·g·Gᵀ` rows re-quantized to `i8` (exact when the
-/// weight-side sites are calibrated — the derived values already sit on
-/// the quantization grid), permuted into `[n², K, C]` order and packed
+/// path: the quantized `G·g·Gᵀ` rows re-quantized to `i8` (exact, since
+/// the int8 path runs calibrated only and the derived values already sit
+/// on the site's grid), permuted into `[n², K, C]` order and packed
 /// once into the [`gemm_i8_prepacked`] left-operand layout (widened
 /// i16), together with the per-tap scales they were quantized under (a
 /// per-layer site broadcasts its one scale). Packing at cache-build time
@@ -126,30 +126,6 @@ struct Int8Filter {
     packed: PackedAI8,
     /// One scale per tap position (`n²` entries).
     scales: Vec<f32>,
-}
-
-/// A warm view of tap-wise calibration state: the state itself if it has
-/// observed anything, otherwise a one-off clone warmed on the tensor at
-/// hand (the tap-wise analogue of `infer_quant`'s cold-observer
-/// fallback).
-fn warm_taps(tq: &TapQuant, x: &Tensor) -> TapQuant {
-    let mut t = tq.clone();
-    if t.observations() == 0 {
-        t.observe(x);
-    }
-    t
-}
-
-/// A warm per-layer scale: the observer's settled scale, or the one-off
-/// fallback a cold observer would derive from the tensor at hand.
-fn warm_scale(obs: &Observer, bits: BitWidth, x: &Tensor) -> f32 {
-    if obs.observations() > 0 {
-        obs.scale(bits)
-    } else {
-        let mut tmp = obs.clone();
-        tmp.observe(x);
-        tmp.scale(bits)
-    }
 }
 
 /// A per-layer site as the fused walks take it: `Some(None)` passes
@@ -177,30 +153,14 @@ struct ActSnaps {
     back: BackSnaps,
 }
 
-/// How the pipeline obtains the Winograd-domain filter `G·g·Gᵀ`.
-#[derive(Clone, Copy)]
-enum FilterVars {
-    /// Spatial weights + `G` registered on this tape: quantize and
-    /// transform inline (training, and any path that needs gradients or
-    /// observer updates for the weight-side sites).
-    Spatial {
-        /// Spatial filter `[K, C, r, r]`.
-        w: Var,
-        /// Filter transform `G` `[n, r]`.
-        g: Var,
-    },
-    /// The already-quantized transform, tap-major `[n², K, C]` (the tap
-    /// GEMM's left operand as it is), computed once and injected as a
-    /// leaf — the weights are constant across a batch, so inference
-    /// reuses one derivation for every chunk.
-    Transformed(Var),
-}
-
 /// Tape variables for the layer's parameters, registered by the caller
 /// (mutably via [`Tape::param`] in training, read-only via
-/// [`Tape::param_ref`] in inference).
+/// [`Tape::param_ref`] in the cold-site inference replay).
 struct PipelineVars {
-    filter: FilterVars,
+    /// Spatial filter `[K, C, r, r]`.
+    w: Var,
+    /// Filter transform `G` `[n, r]`.
+    g: Var,
     at: Var,
     bt: Var,
     bias: Option<Var>,
@@ -277,10 +237,7 @@ fn winograd_pipeline(
 
     // -- inputs & parameters, quantized
     let xq = quant(tape, x, abits, QuantSite::Input);
-    let wq = match vars.filter {
-        FilterVars::Spatial { w, .. } => Some(quant(tape, w, wbits, QuantSite::Weight)),
-        FilterVars::Transformed(_) => None,
-    };
+    let wq = quant(tape, vars.w, wbits, QuantSite::Weight);
     let (at, bt) = (vars.at, vars.bt);
 
     // -- input transform BᵀdB (two one-sided products, Qx after each)
@@ -301,22 +258,15 @@ fn winograd_pipeline(
         quant(tape, v_rows, abits, QuantSite::Bdb)
     };
 
-    // -- filter transform GgGᵀ (or the precomputed tap-major one)
-    let u = match (vars.filter, wq) {
-        (FilterVars::Spatial { g, .. }, Some(wq)) => filter_u_rows(tape, wq, g, cfg, quant),
-        (FilterVars::Transformed(u), _) => u,
-        (FilterVars::Spatial { .. }, None) => unreachable!("wq is Some iff filter is Spatial"),
-    };
+    // -- filter transform GgGᵀ
+    let u = filter_u_rows(tape, wq, vars.g, cfg, quant);
 
     // -- Hadamard product + summation across channels, as one GEMM per
     //    Winograd-domain coordinate (Maji et al. 2019 formulation)
     let mm = {
         let _span = wa_obs::stage_span!("winograd.gemm");
         let v_p = tape.permute3(v_rows, [total_tiles, in_ch, n * n], [2, 1, 0]); // [n², C, T]
-        let u_p = match vars.filter {
-            FilterVars::Spatial { .. } => tape.permute3(u, [out_ch, in_ch, n * n], [2, 0, 1]),
-            FilterVars::Transformed(_) => u,
-        }; // [n², K, C]
+        let u_p = tape.permute3(u, [out_ch, in_ch, n * n], [2, 0, 1]); // [n², K, C]
         let mm = tape.bmm(u_p, v_p, n * n, out_ch, in_ch, total_tiles); // [n², K, T]
         quant(tape, mm, abits, QuantSite::Hadamard)
     };
@@ -642,24 +592,29 @@ impl WinogradAwareConv2d {
     /// for their GEMM and cache that.
     fn filter_rows(&self) -> Tensor {
         let cfg = self.pipeline_cfg();
-        let policy = self.quant.transform;
         let mut tape = Tape::new();
         let w = tape.param_ref(&self.weight);
         let g = tape.param_ref(&self.g);
-        let wq = infer_quant(&mut tape, w, cfg.wbits, self.obs.site(QuantSite::Weight));
-        let u = filter_u_rows(
-            &mut tape,
-            wq,
-            g,
-            cfg,
-            &mut |t, v, bits, site| match (policy, site) {
-                (TapPolicy::PerTap, QuantSite::Ggt) => {
-                    infer_quant_taps(t, v, bits, &self.obs.ggt_taps)
-                }
-                _ => infer_quant(t, v, bits, self.obs.site(site)),
-            },
-        );
+        let wq = self.infer_site(&mut tape, w, cfg.wbits, QuantSite::Weight);
+        let u = filter_u_rows(&mut tape, wq, g, cfg, &mut |t, v, bits, site| {
+            self.infer_site(t, v, bits, site)
+        });
         tape.value(u).clone()
+    }
+
+    /// Realizes one `Qx` site read-only, through the state the active tap
+    /// policy quantizes with (the inference counterpart of the training
+    /// forward's observing closure).
+    fn infer_site(&self, tape: &mut Tape, v: Var, bits: BitWidth, site: QuantSite) -> Var {
+        match (self.quant.transform, site) {
+            (TapPolicy::PerTap, QuantSite::Bdb) => {
+                infer_quant_taps(tape, v, bits, &self.obs.bdb_taps)
+            }
+            (TapPolicy::PerTap, QuantSite::Ggt) => {
+                infer_quant_taps(tape, v, bits, &self.obs.ggt_taps)
+            }
+            _ => infer_quant(tape, v, bits, self.obs.site(site)),
+        }
     }
 
     /// Rejects tap bit-widths the `i8` kernel cannot carry (`FP32` or
@@ -686,13 +641,10 @@ impl WinogradAwareConv2d {
     }
 
     /// The prepacked integer filter for the current weights/quant config.
-    /// Re-quantizing [`WinogradAwareConv2d::filter_rows`] is exact on
-    /// calibrated state: the derived values already sit on the `G·g·Gᵀ`
-    /// site's grid, so `round(q·s/s) = q` recovers the integers
-    /// bit-for-bit. (A never-calibrated site derives a one-off scale from
-    /// the quantized rows themselves, which may drift sub-quantum — the
-    /// serving path refuses uncalibrated int8 checkpoints before this
-    /// matters.)
+    /// Re-quantizing [`WinogradAwareConv2d::filter_rows`] is exact: the
+    /// caller has checked every site is calibrated, so the derived values
+    /// already sit on the `G·g·Gᵀ` site's grid and `round(q·s/s) = q`
+    /// recovers the integers bit-for-bit.
     fn cached_filter_i8(&self) -> Result<Arc<Int8Filter>, WaError> {
         {
             let guard = self
@@ -711,15 +663,11 @@ impl WinogradAwareConv2d {
         let wbits = self.quant.weights;
         let (u_bits, u_scales) = match self.quant.transform {
             TapPolicy::PerTap => {
-                let tq = warm_taps(&self.obs.ggt_taps, &u);
-                let bits = tq.effective_bits(wbits);
-                let scales = tq.scales_for(&bits);
+                let bits = self.obs.ggt_taps.effective_bits(wbits);
+                let scales = self.obs.ggt_taps.scales_for(&bits);
                 (bits, scales)
             }
-            TapPolicy::PerLayer => {
-                let s = warm_scale(&self.obs.ggt, wbits, &u);
-                (vec![wbits; taps], vec![s; taps])
-            }
+            TapPolicy::PerLayer => (vec![wbits; taps], vec![self.obs.ggt.scale(wbits); taps]),
         };
         self.check_tap_bits("G·g·Gᵀ", &u_bits)?;
         let q_rows = quantize_i8_taps(&u, &u_bits, &u_scales);
@@ -755,149 +703,152 @@ impl WinogradAwareConv2d {
     /// scale of the reference (exact integer arithmetic plus the
     /// [`Requantizer`]'s ±1 sliver).
     ///
-    /// On a **calibrated** layer the halves run as fused eager kernels
-    /// ([`fused_input_pack`] / [`fused_requant_output`]) that walk the
-    /// tiles once and write straight into the packed GEMM operand /
-    /// final output — bit-identical to the op-by-op tape sequence (the
-    /// f32 GEMM accumulates in ascending-`k` order, and the fused dot
-    /// products replicate it), but without materializing the ~10
-    /// intermediate tensors per convolution. A layer with any cold
-    /// quantization site falls back to the op-by-op pipeline, whose
-    /// observer semantics (one-off scales derived from the tensor at
-    /// hand) need the full intermediates.
+    /// The halves run as fused eager kernels ([`fused_input_pack`] /
+    /// [`fused_requant_output`]) that walk the tiles once and write
+    /// straight into the packed GEMM operand / final output —
+    /// bit-identical to the op-by-op tape sequence, which the
+    /// `int8_pipeline` unit tests pin with `==`.
+    ///
+    /// # Errors
+    ///
+    /// [`WaError::InvalidSpec`] (`quant.execution`) if the bit-widths do
+    /// not fit `i8`, or if any quantization site has never observed data:
+    /// integer execution runs on calibrated scales only, so its outputs
+    /// never depend on how a batch is split.
     fn infer_int8(&self, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
-        if let Some(reason) = self.quant.int8_incompatibility() {
-            return Err(WaError::invalid(
+        let invalid = |reason: String| {
+            WaError::invalid(
                 "WinogradAwareConv2d",
                 "quant.execution",
                 format!("`{}`: {reason}", self.weight.name),
-            ));
+            )
+        };
+        if let Some(reason) = self.quant.int8_incompatibility() {
+            return Err(invalid(reason));
         }
-        let cfg = self.pipeline_cfg();
-        let (m, r) = (cfg.m, cfg.r);
-        let n = m + r - 1;
-        let taps = n * n;
-        let (batch, h, w_sp) = {
+        if let Some(site) = self.first_cold_site() {
+            return Err(invalid(format!(
+                "int8 execution requires calibrated quantization state, but \
+                 `{}.q.{site}` has no observations",
+                self.site_prefix()
+            )));
+        }
+        let (batch, h, w) = {
             let v = tape.value(x);
             (v.dim(0), v.dim(2), v.dim(3))
         };
-        let geom = TileGeometry::for_conv(h, w_sp, m, r, cfg.pad);
+        let geom = TileGeometry::for_conv(h, w, self.m, self.r, self.pad);
+        let taps = geom.tile() * geom.tile();
+        let abits = self.quant.activations;
+        let qmax_a = abits.qmax();
+        let (in_ch, out_ch) = (self.in_channels(), self.out_channels());
         let total_tiles = batch * geom.tiles();
-        let (in_ch, out_ch) = (cfg.in_ch, cfg.out_ch);
-        let abits = cfg.abits;
-
-        if supports_tile(n, m) && self.act_snaps().is_some() {
-            return self.infer_int8_fused(tape, x, &geom);
-        }
-
-        // -- f32 front half: identical ops to the reference up to (but
-        //    not including) the Q(Bᵀ·d·B) site
-        let xq = infer_quant(tape, x, abits, &self.obs.input);
-        let bt = tape.param_ref(&self.bt);
-        let v_pre = {
-            let _span = wa_obs::stage_span!("winograd.input_transform");
-            let xp = tape.pad_tiles(xq, geom);
-            let tiles = tape.gather_tiles(xp, geom); // [B·T·C, n²]
-            let rows = total_tiles * in_ch;
-            let t1 = tape.reshape(tiles, &[rows * n, n]);
-            let t2 = tape.matmul_nt(t1, bt);
-            let t2q = infer_quant(tape, t2, abits, &self.obs.bd);
-            let t3 = tape.reshape(t2q, &[rows, n * n]);
-            let t4 = tape.tile_transpose(t3, n, n);
-            let t5 = tape.reshape(t4, &[rows * n, n]);
-            let t6 = tape.matmul_nt(t5, bt);
-            let t7 = tape.reshape(t6, &[rows, n * n]);
-            tape.tile_transpose(t7, n, n) // BᵀdB, pre-quant
-        };
-
-        // -- integer middle: Q(Bᵀ·d·B) to i8 per tap, one i8 GEMM per
-        //    Winograd coordinate, requantize onto the Hadamard grid
         let filter = self.cached_filter_i8()?;
-        let mm_t = {
-            let _span = wa_obs::stage_span!("int8.winograd_gemm");
-            let v_t = tape.value(v_pre);
-            let (v_bits, v_scales) = match self.quant.transform {
-                TapPolicy::PerTap => {
-                    let tq = warm_taps(&self.obs.bdb_taps, v_t);
-                    let bits = tq.effective_bits(abits);
-                    let scales = tq.scales_for(&bits);
-                    (bits, scales)
-                }
-                TapPolicy::PerLayer => {
-                    let s = warm_scale(&self.obs.bdb, abits, v_t);
-                    (vec![abits; taps], vec![s; taps])
-                }
-            };
-            self.check_tap_bits("Bᵀ·d·B", &v_bits)?;
-            let qv_rows = quantize_i8_taps(v_t, &v_bits, &v_scales);
-            // permute [B·T·C, n²] → [n², C, T], the reference's `v_p`
-            let mut v_p = vec![0i8; total_tiles * in_ch * taps];
-            for tile in 0..total_tiles {
-                for c in 0..in_ch {
-                    let src = &qv_rows[(tile * in_ch + c) * taps..][..taps];
-                    for (t, &q) in src.iter().enumerate() {
-                        v_p[(t * in_ch + c) * total_tiles + tile] = q;
-                    }
-                }
-            }
-            let pb = PackedBI8::pack(&v_p, taps, in_ch, total_tiles);
-            let mut acc = vec![0i32; taps * out_ch * total_tiles];
-            gemm_i8_prepacked(&filter.packed, &pb, &mut acc);
-            let block = out_ch * total_tiles;
-            let s_h = if self.obs.hadamard.observations() > 0 {
-                self.obs.hadamard.scale(abits)
-            } else {
-                // cold one-off: dequantize the accumulator and let a
-                // scratch observer derive the range, like infer_quant
-                // would from the f32 product
-                let mut pre = Tensor::zeros(&[taps, out_ch, total_tiles]);
-                let pd = pre.data_mut();
-                for (t, chunk) in pd.chunks_mut(block).enumerate() {
-                    let sq = filter.scales[t] as f64 * v_scales[t] as f64;
-                    for (d, &a) in chunk.iter_mut().zip(&acc[t * block..]) {
-                        *d = (a as f64 * sq) as f32;
-                    }
-                }
-                let mut tmp = self.obs.hadamard.clone();
-                tmp.observe(&pre);
-                tmp.scale(abits)
-            };
-            let qmax_h = abits.qmax();
-            let mut mm = Tensor::zeros(&[taps, out_ch, total_tiles]);
-            let md = mm.data_mut();
-            for (t, chunk) in md.chunks_mut(block).enumerate() {
-                let req =
-                    Requantizer::new(filter.scales[t] as f64 * v_scales[t] as f64 / s_h as f64);
-                for (d, &a) in chunk.iter_mut().zip(&acc[t * block..]) {
-                    *d = req.apply_clamped(a, qmax_h) as f32 * s_h;
-                }
-            }
-            mm
-        };
 
-        // -- f32 back half: identical ops to the reference from the
-        //    post-Hadamard permute onwards
-        let mm = tape.leaf(mm_t);
-        let at = tape.param_ref(&self.at);
-        let _span = wa_obs::stage_span!("winograd.output_transform");
-        let m3 = tape.permute3(mm, [taps, out_ch, total_tiles], [2, 1, 0]); // [T, K, n²]
-        let orows = total_tiles * out_ch;
-        let m_rows = tape.reshape(m3, &[orows, taps]);
-        let o1 = tape.reshape(m_rows, &[orows * n, n]);
-        let o2 = tape.matmul_nt(o1, at);
-        let o2q = infer_quant(tape, o2, abits, &self.obs.ay);
-        let o3 = tape.reshape(o2q, &[orows, n * m]);
-        let o4 = tape.tile_transpose(o3, n, m);
-        let o5 = tape.reshape(o4, &[orows * m, n]);
-        let o6 = tape.matmul_nt(o5, at);
-        let o7 = tape.reshape(o6, &[orows, m * m]);
-        let y_rows = tape.tile_transpose(o7, m, m);
-        let mut y = tape.assemble_output(y_rows, geom, batch, out_ch);
-        if let Some(b) = self.bias.as_ref() {
-            let bv = tape.param_ref(b);
-            y = tape.add_bias_chan(y, bv);
+        let xq = infer_quant(tape, x, abits, &self.obs.input);
+
+        // per-tap grids at Q(Bᵀ·d·B)
+        let (v_bits, v_scales) = match self.quant.transform {
+            TapPolicy::PerTap => {
+                let bits = self.obs.bdb_taps.effective_bits(abits);
+                let scales = self.obs.bdb_taps.scales_for(&bits);
+                (bits, scales)
+            }
+            TapPolicy::PerLayer => (vec![abits; taps], vec![self.obs.bdb.scale(abits); taps]),
+        };
+        self.check_tap_bits("Bᵀ·d·B", &v_bits)?;
+        let v_qmaxes: Vec<i32> = v_bits.iter().map(|b| b.qmax()).collect();
+
+        let mut pb = PackedBI8::zeroed(taps, in_ch, total_tiles);
+        {
+            let _span = wa_obs::stage_span!("winograd.input_transform");
+            let fq = FrontQuant {
+                s_bd: self.obs.bd.scale(abits),
+                qmax_bd: qmax_a,
+                v_scales: &v_scales,
+                v_qmaxes: &v_qmaxes,
+            };
+            fused_input_pack(tape.value(xq), &self.bt.value, &geom, &fq, &mut pb);
         }
-        Ok(infer_quant(tape, y, abits, &self.obs.aya))
+
+        let mut acc = vec![0i32; taps * out_ch * total_tiles];
+        {
+            let _span = wa_obs::stage_span!("int8.winograd_gemm");
+            gemm_i8_prepacked(&filter.packed, &pb, &mut acc);
+        }
+
+        let s_h = self.obs.hadamard.scale(abits);
+        let reqs: Vec<Requantizer> = (0..taps)
+            .map(|t| Requantizer::new(filter.scales[t] as f64 * v_scales[t] as f64 / s_h as f64))
+            .collect();
+        let y = {
+            let _span = wa_obs::stage_span!("winograd.output_transform");
+            let bq = BackQuant {
+                reqs: &reqs,
+                s_h,
+                qmax_h: qmax_a,
+                s_ay: self.obs.ay.scale(abits),
+                qmax_ay: qmax_a,
+                s_aya: self.obs.aya.scale(abits),
+                qmax_aya: qmax_a,
+            };
+            fused_requant_output(
+                &acc,
+                &self.at.value,
+                &geom,
+                batch,
+                out_ch,
+                self.bias.as_ref().map(|b| b.value.data()),
+                &bq,
+            )
+        };
+        Ok(tape.leaf(y))
+    }
+
+    /// The parameter-name prefix of this layer's sites (`<layer>` in
+    /// `<layer>.q.<site>`).
+    fn site_prefix(&self) -> &str {
+        self.weight.name.trim_end_matches(".weight")
+    }
+
+    /// The first site, in pipeline order, that quantizes but has never
+    /// observed data — named by its [`Layer::visit_quant_state`] suffix.
+    /// The two Winograd-domain sites are checked in the state the active
+    /// tap policy quantizes through.
+    fn first_cold_site(&self) -> Option<&'static str> {
+        let (abits, wbits) = (self.quant.activations, self.quant.weights);
+        let obs = &self.obs;
+        let per_tap = self.quant.transform == TapPolicy::PerTap;
+        let scalar = |o: &Observer, bits: BitWidth| !bits.is_float() && o.observations() == 0;
+        let taps = |t: &TapQuant, bits: BitWidth| {
+            (!bits.is_float() || t.bit_overrides().is_some()) && t.observations() == 0
+        };
+        let cold = [
+            ("input", scalar(&obs.input, abits)),
+            ("weight", scalar(&obs.weight, wbits)),
+            ("gg", scalar(&obs.gg, wbits)),
+            (
+                "ggt",
+                if per_tap {
+                    taps(&obs.ggt_taps, wbits)
+                } else {
+                    scalar(&obs.ggt, wbits)
+                },
+            ),
+            ("bd", scalar(&obs.bd, abits)),
+            (
+                "bdb",
+                if per_tap {
+                    taps(&obs.bdb_taps, abits)
+                } else {
+                    scalar(&obs.bdb, abits)
+                },
+            ),
+            ("hadamard", scalar(&obs.hadamard, abits)),
+            ("ay", scalar(&obs.ay, abits)),
+            ("aya", scalar(&obs.aya, abits)),
+        ];
+        cold.into_iter().find(|&(_, c)| c).map(|(site, _)| site)
     }
 
     /// The activation-side sites for the fused walks, or `None` if any
@@ -990,90 +941,6 @@ impl WinogradAwareConv2d {
         tape.leaf(y)
     }
 
-    /// The fused [`Execution::Int8`] pass for a calibrated layer: one
-    /// tile walk per half plus the prepacked integer GEMM. Every
-    /// quantization site must be warm and the tile shape supported (the
-    /// caller's dispatch guarantees both). Bit-identical to the op-by-op
-    /// path — the `int8_pipeline` unit tests pin the equivalence with
-    /// `==`.
-    fn infer_int8_fused(
-        &self,
-        tape: &mut Tape,
-        x: Var,
-        geom: &TileGeometry,
-    ) -> Result<Var, WaError> {
-        let n = geom.tile();
-        let taps = n * n;
-        let abits = self.quant.activations;
-        let qmax_a = abits.qmax();
-        let (batch, in_ch, out_ch) = (
-            tape.value(x).dim(0),
-            self.in_channels(),
-            self.out_channels(),
-        );
-        let total_tiles = batch * geom.tiles();
-        let filter = self.cached_filter_i8()?;
-
-        let xq = infer_quant(tape, x, abits, &self.obs.input);
-
-        // per-tap grids at Q(Bᵀ·d·B) — the sites are warm by dispatch
-        let (v_bits, v_scales) = match self.quant.transform {
-            TapPolicy::PerTap => {
-                let bits = self.obs.bdb_taps.effective_bits(abits);
-                let scales = self.obs.bdb_taps.scales_for(&bits);
-                (bits, scales)
-            }
-            TapPolicy::PerLayer => (vec![abits; taps], vec![self.obs.bdb.scale(abits); taps]),
-        };
-        self.check_tap_bits("Bᵀ·d·B", &v_bits)?;
-        let v_qmaxes: Vec<i32> = v_bits.iter().map(|b| b.qmax()).collect();
-
-        let mut pb = PackedBI8::zeroed(taps, in_ch, total_tiles);
-        {
-            let _span = wa_obs::stage_span!("winograd.input_transform");
-            let fq = FrontQuant {
-                s_bd: self.obs.bd.scale(abits),
-                qmax_bd: qmax_a,
-                v_scales: &v_scales,
-                v_qmaxes: &v_qmaxes,
-            };
-            fused_input_pack(tape.value(xq), &self.bt.value, geom, &fq, &mut pb);
-        }
-
-        let mut acc = vec![0i32; taps * out_ch * total_tiles];
-        {
-            let _span = wa_obs::stage_span!("int8.winograd_gemm");
-            gemm_i8_prepacked(&filter.packed, &pb, &mut acc);
-        }
-
-        let s_h = self.obs.hadamard.scale(abits);
-        let reqs: Vec<Requantizer> = (0..taps)
-            .map(|t| Requantizer::new(filter.scales[t] as f64 * v_scales[t] as f64 / s_h as f64))
-            .collect();
-        let y = {
-            let _span = wa_obs::stage_span!("winograd.output_transform");
-            let bq = BackQuant {
-                reqs: &reqs,
-                s_h,
-                qmax_h: qmax_a,
-                s_ay: self.obs.ay.scale(abits),
-                qmax_ay: qmax_a,
-                s_aya: self.obs.aya.scale(abits),
-                qmax_aya: qmax_a,
-            };
-            fused_requant_output(
-                &acc,
-                &self.at.value,
-                geom,
-                batch,
-                out_ch,
-                self.bias.as_ref().map(|b| b.value.data()),
-                &bq,
-            )
-        };
-        Ok(tape.leaf(y))
-    }
-
     fn pipeline_cfg(&self) -> PipelineCfg {
         PipelineCfg {
             m: self.m,
@@ -1120,10 +987,8 @@ impl Layer for WinogradAwareConv2d {
         self.invalidate_filter_cache();
         let cfg = self.pipeline_cfg();
         let vars = PipelineVars {
-            filter: FilterVars::Spatial {
-                w: tape.param(&mut self.weight),
-                g: tape.param(&mut self.g),
-            },
+            w: tape.param(&mut self.weight),
+            g: tape.param(&mut self.g),
             at: tape.param(&mut self.at),
             bt: tape.param(&mut self.bt),
             bias: self.bias.as_mut().map(|b| tape.param(b)),
@@ -1182,7 +1047,7 @@ impl Layer for WinogradAwareConv2d {
     }
 
     fn visit_quant_state(&mut self, f: &mut dyn FnMut(&str, QuantStateMut<'_>)) {
-        let prefix = self.weight.name.trim_end_matches(".weight").to_string();
+        let prefix = self.site_prefix().to_string();
         let per_tap = self.quant.transform == TapPolicy::PerTap;
         let obs = &mut self.obs;
         let sites: [(&str, &mut Observer); 7] = [
@@ -1232,37 +1097,26 @@ impl Infer for WinogradAwareConv2d {
         if self.quant.execution == Execution::Int8 {
             return self.infer_int8(tape, x);
         }
-        if supports_tile(self.input_tile(), self.m) {
-            if let Some(snaps) = self.act_snaps() {
-                return Ok(self.infer_fused(tape, x, &snaps));
-            }
+        if let Some(snaps) = self.act_snaps() {
+            return Ok(self.infer_fused(tape, x, &snaps));
         }
-        // cold observers derive one-off scales from whole intermediates,
-        // and unlisted tile shapes have no monomorphized walk: both
-        // replay the training pipeline on the tape
+        // a cold fake-quant site derives its one-off scale from the whole
+        // intermediate tensor, which only the training pipeline on the
+        // tape materializes
         let cfg = self.pipeline_cfg();
-        let u = tape.leaf(self.cached_filter());
         let vars = PipelineVars {
-            filter: FilterVars::Transformed(u),
+            w: tape.param_ref(&self.weight),
+            g: tape.param_ref(&self.g),
             at: tape.param_ref(&self.at),
             bt: tape.param_ref(&self.bt),
             bias: self.bias.as_ref().map(|b| tape.param_ref(b)),
         };
-        let policy = self.quant.transform;
         Ok(winograd_pipeline(
             tape,
             x,
             vars,
             cfg,
-            &mut |t, v, bits, site| match (policy, site) {
-                (TapPolicy::PerTap, QuantSite::Bdb) => {
-                    infer_quant_taps(t, v, bits, &self.obs.bdb_taps)
-                }
-                (TapPolicy::PerTap, QuantSite::Ggt) => {
-                    infer_quant_taps(t, v, bits, &self.obs.ggt_taps)
-                }
-                _ => infer_quant(t, v, bits, self.obs.site(site)),
-            },
+            &mut |t, v, bits, site| self.infer_site(t, v, bits, site),
         ))
     }
 }

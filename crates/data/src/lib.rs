@@ -3,8 +3,9 @@
 //! Deterministic synthetic image-classification datasets shaped like the
 //! paper's benchmarks (CIFAR-10, CIFAR-100, MNIST).
 //!
-//! **Substitution notice** (see `DESIGN.md`): this reproduction runs in an
-//! offline environment without the real datasets. The phenomena under
+//! **Substitution notice** (see the README's *Substitutions* section):
+//! this reproduction runs in an offline environment without the real
+//! datasets. The phenomena under
 //! study — numerical error of large-tile Winograd under quantization and
 //! its recovery via Winograd-aware training — are properties of the
 //! convolution *arithmetic*, not of natural-image statistics, so we

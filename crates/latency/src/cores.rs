@@ -54,8 +54,9 @@ impl std::fmt::Display for DType {
 }
 
 /// Machine parameters of one core, calibrated against the paper's
-/// published measurements (Figure 7/8, Table 3). See `DESIGN.md` for the
-/// substitution rationale: we model, rather than measure, the HiKey 960.
+/// published measurements (Figure 7/8, Table 3). See the README's
+/// *Substitutions* section for the rationale: we model, rather than
+/// measure, the HiKey 960.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoreSpec {
     /// Core name.

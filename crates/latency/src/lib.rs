@@ -4,8 +4,9 @@
 //! Cortex-A73 and Cortex-A53 cores of the HiKey 960 board the paper
 //! benchmarks (its §5.3/§6.2).
 //!
-//! **Substitution notice** (see `DESIGN.md`): the paper measures real
-//! hardware; this environment has none, so we model it — a roofline per
+//! **Substitution notice** (see the README's *Substitutions* section):
+//! the paper measures real hardware; this reproduction has none, so we
+//! model it — a roofline per
 //! pipeline stage (arithmetic vs memory traffic, plus per-GEMM-call
 //! overheads), with parameters calibrated so the paper's published
 //! *orderings and ratios* hold: im2row wins the input layer; F4/F6

@@ -28,6 +28,7 @@ use wa_nn::{
     export_params, export_quant_state, import_params, import_quant_state, CheckpointError,
     FullCheckpoint, Infer, Layer, Param, QuantStateMut, Tape, Var, WaError,
 };
+use wa_quant::Execution;
 use wa_tensor::SeededRng;
 
 use crate::lenet::LeNet;
@@ -239,14 +240,17 @@ impl ZooModel {
     /// Reconstructs a runnable model from a one-document checkpoint:
     /// parse `arch` → validate `spec` → build (deterministic placeholder
     /// init) → import `params` atomically → restore the `quant`
-    /// calibration (when the document carries one).
+    /// calibration (when the document carries one). An
+    /// [`Execution::Int8`] model runs on calibrated scales only, so every
+    /// quantization site must arrive with observations.
     ///
     /// # Errors
     ///
     /// [`WaError::InvalidSpec`] for an unknown architecture, a spec
     /// violating a paper constraint (the offending checkpoint path, e.g.
-    /// `` `spec.quant.transform` ``, rides in the message), or a `quant`
-    /// entry that does not fit the rebuilt model;
+    /// `` `spec.quant.transform` ``, rides in the message), a `quant`
+    /// entry that does not fit the rebuilt model, or an int8 model with a
+    /// site that has no observations (named as `` `quant.<site>` ``);
     /// [`WaError::ShapeMismatch`] naming the parameter when a stored
     /// tensor disagrees with the built model.
     pub fn from_full_checkpoint(doc: &FullCheckpoint) -> Result<ZooModel, WaError> {
@@ -257,6 +261,29 @@ impl ZooModel {
         let mut out = ZooModel::from_spec(kind, &spec, &mut rng)?;
         import_params(out.as_layer(), &doc.params).map_err(import_error)?;
         import_quant_state(out.as_layer(), &doc.quant).map_err(import_error)?;
+        if spec.quant.execution == Execution::Int8 {
+            let mut cold = None;
+            out.visit_quant_state(&mut |name, state| {
+                let seen = match state {
+                    QuantStateMut::Observer(o) => o.observations(),
+                    QuantStateMut::Taps(t) => t.observations(),
+                    QuantStateMut::BatchNorm { .. } => return,
+                };
+                if seen == 0 && cold.is_none() {
+                    cold = Some(name.to_string());
+                }
+            });
+            if let Some(site) = cold {
+                return Err(WaError::invalid(
+                    "FullCheckpoint",
+                    "quant",
+                    format!(
+                        "int8 execution requires calibrated quantization state, \
+                         but `quant.{site}` has no observations"
+                    ),
+                ));
+            }
+        }
         Ok(out)
     }
 

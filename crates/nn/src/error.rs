@@ -9,7 +9,7 @@ use std::fmt;
 /// diagnosable error rather than abort the process, so every `*Spec`
 /// builder (`Conv2dSpec`, `LinearSpec`, `BatchNormSpec`, `ConvSpec`,
 /// `ModelSpec`) returns `Result<_, WaError>` and every paper constraint
-/// (nonzero dims, Winograd ⇒ stride 1, odd kernel, supported tile sizes)
+/// (nonzero dims, Winograd ⇒ stride 1, kernel 3 or 5, supported tile sizes)
 /// maps to a variant here.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WaError {

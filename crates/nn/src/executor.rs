@@ -15,11 +15,12 @@
 //! quantized models whose range observers are warm — the stitched output
 //! is identical for any `threads` or `chunk` value, and identical to
 //! running the samples one at a time through [`Infer::infer`]. The one
-//! carve-out is a quantized model that was never warmed: its cold
+//! carve-out is a fake-quant model that was never warmed: its cold
 //! observers derive scales from the tensor at hand (see
 //! [`crate::infer_quant`]), which in batched execution is the whole
 //! chunk, so outputs can vary with the batch partition until the model
-//! is warmed. The parity suite in `tests/executor_parity.rs` pins the
+//! is warmed. (An `int8`-execution layer with a cold site refuses to run
+//! instead.) The parity suite in `tests/executor_parity.rs` pins the
 //! contract.
 //!
 //! # Example
@@ -97,11 +98,12 @@ fn exec_metrics() -> &'static ExecMetrics {
 /// what lets [`BatchExecutor`] share one model across worker threads.
 ///
 /// Implementations mirror their layer's eval-mode (`train = false`)
-/// forward. The one divergence: a *cold* quantization observer (zero
+/// forward. The one divergence: a *cold* fake-quant observer (zero
 /// observations) derives a one-off scale from the tensor at hand instead
 /// of memorizing it, so repeated inference never drifts; warm the model
 /// with one training forward for serving scales that are stable and
-/// independent of how a batch is partitioned.
+/// independent of how a batch is partitioned. Integer execution runs on
+/// calibrated scales only and errors on a cold site.
 pub trait Infer {
     /// Runs the model on `x`, appending ops to `tape`, without mutating
     /// `self`.

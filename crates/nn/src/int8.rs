@@ -15,22 +15,8 @@
 //! reference (the tolerance contract asserted by `tests/int8_parity.rs`
 //! and documented in `docs/quantization.md`).
 
-use wa_quant::{quantize_i8, BitWidth, Observer, QTensor, Requantizer};
+use wa_quant::{quantize_i8, BitWidth, QTensor, Requantizer};
 use wa_tensor::{gemm_i8, Tensor, Transpose};
-
-/// The scale a read-only int8 site quantizes through: a warm observer's
-/// settled scale, or the one-off fallback a cold observer would derive
-/// from the tensor at hand (mirroring `infer_quant`, including its
-/// batch-partition caveat for cold models).
-pub(crate) fn observer_scale(obs: &Observer, bits: BitWidth, x: &Tensor) -> f32 {
-    if obs.observations() > 0 {
-        obs.scale(bits)
-    } else {
-        let mut tmp = obs.clone();
-        tmp.observe(x);
-        tmp.scale(bits)
-    }
-}
 
 /// Pad + im2row over `i8` data: lowers quantized NCHW input (logical
 /// shape `[n, c, h, w]`, zero padding `pad`) to patch rows
@@ -88,9 +74,8 @@ pub(crate) fn im2row_i8(
 ///
 /// `qw` is the prepacked weight (`[K, C, kh, kw]`, per-layer scale);
 /// `bias` is the f32 bias, folded into the accumulator as
-/// `round(b/(s_in·s_w))`. The output scale comes from `obs_out` when it
-/// is warm; a cold observer derives a one-off scale from the dequantized
-/// pre-quant output, mirroring `infer_quant`'s cold fallback.
+/// `round(b/(s_in·s_w))`. `s_in` and `s_out` are the calibrated input and
+/// output scales.
 #[allow(clippy::too_many_arguments)] // the flattened conv geometry
 pub(crate) fn conv2d_int8(
     xt: &Tensor,
@@ -99,8 +84,8 @@ pub(crate) fn conv2d_int8(
     stride: usize,
     pad: usize,
     s_in: f32,
+    s_out: f32,
     abits: BitWidth,
-    obs_out: &Observer,
 ) -> Tensor {
     let (n, c, h, w) = (xt.dim(0), xt.dim(1), xt.dim(2), xt.dim(3));
     let (k_out, kh, kw) = (qw.shape()[0], qw.shape()[2], qw.shape()[3]);
@@ -111,8 +96,10 @@ pub(crate) fn conv2d_int8(
     let s_w = qw.scale();
 
     let rows = {
-        let _span = wa_obs::stage_span!("int8.quantize");
-        let qx = quantize_i8(xt, abits, s_in);
+        let qx = {
+            let _span = wa_obs::stage_span!("int8.quantize");
+            quantize_i8(xt, abits, s_in)
+        };
         let _span = wa_obs::stage_span!("int8.im2row");
         im2row_i8(&qx, n, c, h, w, kh, kw, stride, pad)
     };
@@ -145,27 +132,6 @@ pub(crate) fn conv2d_int8(
         None => vec![0; k_out],
     };
     let ohw = oh * ow;
-    let s_out = if obs_out.observations() > 0 {
-        obs_out.scale(abits)
-    } else {
-        // cold one-off: dequantize the accumulator back to f32 and let a
-        // scratch observer derive the range, like infer_quant would from
-        // the f32 conv output
-        let mut y_pre = Tensor::zeros(&[n, k_out, oh, ow]);
-        let yd = y_pre.data_mut();
-        for img in 0..n {
-            for kc in 0..k_out {
-                let dst = &mut yd[(img * k_out + kc) * ohw..][..ohw];
-                for (s, d) in dst.iter_mut().enumerate() {
-                    let a = acc[(img * ohw + s) * k_out + kc].saturating_add(bias_q[kc]);
-                    *d = (a as f64 * sq) as f32;
-                }
-            }
-        }
-        let mut tmp = obs_out.clone();
-        tmp.observe(&y_pre);
-        tmp.scale(abits)
-    };
     let requant = Requantizer::new(sq / s_out as f64);
     let qmax = abits.qmax();
 

@@ -405,11 +405,10 @@ impl Conv2d {
                 return t.clone();
             }
         }
-        let s_w = crate::int8::observer_scale(&self.obs_w, self.quant.weights, &self.weight.value);
         let qt = std::sync::Arc::new(wa_quant::QTensor::quantize(
             &self.weight.value,
             self.quant.weights,
-            s_w,
+            self.obs_w.scale(self.quant.weights),
         ));
         *guard = Some((self.quant, qt.clone()));
         qt
@@ -418,27 +417,46 @@ impl Conv2d {
     /// The integer forward: quantize → `gemm_i8` → requantize, inserted
     /// into the tape as a constant leaf (the [`Infer`] path records no
     /// gradients, so eager evaluation is equivalent).
+    ///
+    /// # Errors
+    ///
+    /// [`WaError::InvalidSpec`] (`quant.execution`) if the bit-widths do
+    /// not fit `i8`, or if any quantization site has never observed data:
+    /// integer execution runs on calibrated scales only.
     fn infer_int8(&self, tape: &mut Tape, x: Var) -> Result<Var, WaError> {
-        if let Some(reason) = self.quant.int8_incompatibility() {
-            return Err(WaError::invalid(
+        let invalid = |reason: String| {
+            WaError::invalid(
                 "Conv2d",
                 "quant.execution",
                 format!("`{}`: {reason}", self.weight.name),
-            ));
+            )
+        };
+        if let Some(reason) = self.quant.int8_incompatibility() {
+            return Err(invalid(reason));
         }
-        let xt = tape.value(x).clone();
+        let sites = [
+            ("input", &self.obs_in),
+            ("weight", &self.obs_w),
+            ("output", &self.obs_out),
+        ];
+        if let Some((site, _)) = sites.iter().find(|(_, o)| o.observations() == 0) {
+            return Err(invalid(format!(
+                "int8 execution requires calibrated quantization state, but \
+                 `{}.q.{site}` has no observations",
+                self.weight.name.trim_end_matches(".weight")
+            )));
+        }
         let abits = self.quant.activations;
-        let s_in = crate::int8::observer_scale(&self.obs_in, abits, &xt);
         let qw = self.cached_qweight();
         let y = crate::int8::conv2d_int8(
-            &xt,
+            tape.value(x),
             &qw,
             self.bias.as_ref().map(|b| &b.value),
             self.stride,
             self.pad,
-            s_in,
+            self.obs_in.scale(abits),
+            self.obs_out.scale(abits),
             abits,
-            &self.obs_out,
         );
         Ok(tape.leaf(y))
     }

@@ -24,8 +24,8 @@
 //! `--execution int8` mints a checkpoint for the true-integer inference
 //! path. Integer serving needs settled scales, so the model is first
 //! calibrated on `--calibration-batches` (default 2) seeded random
-//! batches; passing `0` is rejected before writing — an uncalibrated
-//! int8 checkpoint would requantize through one-off per-request scales.
+//! batches; passing `0` is rejected before writing — the server refuses
+//! to load an int8 checkpoint with an uncalibrated site.
 //!
 //! `convert` round-trips a checkpoint between formats, sniffed from the
 //! input's bytes: a JSON document becomes a binary `.wack` container

@@ -352,32 +352,6 @@ impl PackedBI8 {
         &mut self.data[idx]
     }
 
-    /// Writes logical elements `B[s][p, j]` for `s = 0..batch` in one
-    /// call: `vals[s]` lands where `slot(s, p, j)` points. Within one
-    /// `(p, j)` cell the batch items differ only by the panel stride, so
-    /// this costs one address computation plus a strided store per item
-    /// — the fast path for producers that generate a value per batch
-    /// item at a time (e.g. the per-tap quantizer of the fused Winograd
-    /// input transform, whose scalar `slot` calls in the hot loop would
-    /// otherwise block vectorization of the quantize pass feeding it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals.len() != batch` or the coordinates are out of
-    /// range.
-    #[inline]
-    pub fn write_taps(&mut self, p: usize, j: usize, vals: &[i16]) {
-        assert_eq!(vals.len(), self.batch, "write_taps batch mismatch");
-        assert!(
-            p < self.k && j < self.n,
-            "write_taps coordinates out of range"
-        );
-        let base = (j / NR) * self.kk * NR + (p / 2) * NR * 2 + (j % NR) * 2 + (p & 1);
-        for (item, &v) in self.data.chunks_exact_mut(self.panel_stride).zip(vals) {
-            item[base] = v;
-        }
-    }
-
     /// Unpacks back to row-major `[batch, k, n]` i8 — the verification
     /// hook for tests that fill the buffer through [`PackedBI8::slot`]
     /// (values written there are i8-range by contract, so the narrowing
@@ -862,27 +836,5 @@ mod tests {
         }
         assert_eq!(incremental.data, wholesale.data);
         assert_eq!(incremental.unpack(), b);
-    }
-
-    #[test]
-    fn packed_b_write_taps_matches_slot_writes() {
-        let mut rng = SeededRng::new(43);
-        let (batch, k, n) = (9usize, 6, 13);
-        let b = rand_i8(&mut rng, batch * k * n);
-        let mut by_slot = PackedBI8::zeroed(batch, k, n);
-        let mut by_taps = PackedBI8::zeroed(batch, k, n);
-        let mut col = vec![0i16; batch];
-        for p in 0..k {
-            for j in 0..n {
-                for (s, cell) in col.iter_mut().enumerate() {
-                    let v = b[(s * k + p) * n + j] as i16;
-                    *by_slot.slot(s, p, j) = v;
-                    *cell = v;
-                }
-                by_taps.write_taps(p, j, &col);
-            }
-        }
-        assert_eq!(by_taps.data, by_slot.data);
-        assert_eq!(by_taps.unpack(), b);
     }
 }

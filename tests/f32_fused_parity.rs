@@ -91,8 +91,9 @@ fn int8(policy: TapPolicy) -> QuantConfig {
     QuantConfig::uniform(BitWidth::INT8).with_transform(policy)
 }
 
-/// `(m, r)`: F2/F4/F6 at r = 3 and LeNet's F(2, 5).
-const TILES: [(usize, usize); 4] = [(2, 3), (4, 3), (6, 3), (2, 5)];
+/// `(m, r)`: every shape a spec can name — F2/F4/F6 at r = 3 and at
+/// r = 5 (LeNet's F(2, 5) among them).
+const TILES: [(usize, usize); 6] = [(2, 3), (4, 3), (6, 3), (2, 5), (4, 5), (6, 5)];
 
 #[test]
 fn fused_infer_equals_the_training_tape_bit_for_bit() {

@@ -4,8 +4,10 @@
 
 use winograd_aware::core::ConvAlgo;
 use winograd_aware::models::{ExecutorConfig, Infer, ModelKind, ModelSpec, ZooModel};
-use winograd_aware::nn::{Checkpoint, FullCheckpoint, QuantConfig};
-use winograd_aware::quant::BitWidth;
+use winograd_aware::nn::{
+    Checkpoint, FullCheckpoint, Layer, QuantConfig, QuantSiteState, Tape, WaError,
+};
+use winograd_aware::quant::{BitWidth, Execution};
 use winograd_aware::tensor::SeededRng;
 
 const CFG: ExecutorConfig = ExecutorConfig {
@@ -255,4 +257,65 @@ fn tampered_spec_documents_are_rejected_with_field_names() {
     ]);
     let err = ZooModel::from_full_checkpoint(&doc).expect_err("F3 is unsupported");
     assert!(err.to_string().contains("F3"), "{err}");
+}
+
+#[test]
+fn uncalibrated_int8_checkpoints_are_refused_at_load() {
+    // int8 execution runs on calibrated scales only, so a document that
+    // lost its calibration must fail `load_model`, not every request
+    let mut rng = SeededRng::new(56);
+    for algo in [ConvAlgo::Im2row, ConvAlgo::Winograd { m: 2 }] {
+        let spec = spec_for(
+            ModelKind::LeNet,
+            algo,
+            QuantConfig::per_tap(BitWidth::INT8).with_execution(Execution::Int8),
+        );
+        let mut model =
+            ZooModel::from_spec(ModelKind::LeNet, &spec, &mut rng).expect("static spec");
+        let mut tape = Tape::new();
+        let x = tape.leaf(rng.uniform_tensor(&[4, 1, 12, 12], -1.0, 1.0));
+        let _ = model.forward(&mut tape, x, true);
+        let doc = model.to_full_checkpoint().expect("export");
+        let rebuilt = ZooModel::from_full_checkpoint(&doc).expect("a calibrated int8 model loads");
+        let batch = rng.uniform_tensor(&[2, 1, 12, 12], -1.0, 1.0);
+        assert_eq!(
+            model
+                .try_forward_batch(&batch, CFG)
+                .expect("original")
+                .data(),
+            rebuilt
+                .try_forward_batch(&batch, CFG)
+                .expect("rebuilt")
+                .data(),
+            "{algo}"
+        );
+
+        let refused = |doc: &FullCheckpoint, site: &str| {
+            let err = ZooModel::from_full_checkpoint(doc)
+                .err()
+                .unwrap_or_else(|| panic!("{algo}: an uncalibrated int8 checkpoint must not load"));
+            assert!(
+                matches!(err, WaError::InvalidSpec { field: "quant", .. }),
+                "{algo}: {err}"
+            );
+            assert!(
+                err.to_string().contains(&format!("`quant.{site}`")),
+                "{algo}: the error must name `quant.{site}`, got: {err}"
+            );
+        };
+
+        // the quant section stripped: every site is cold, and the first
+        // one the model visits is named
+        let mut stripped = doc.clone();
+        stripped.quant.clear();
+        refused(&stripped, "conv1.q.input");
+
+        // one site that never observed anything
+        let mut one_cold = doc.clone();
+        match one_cold.quant.get_mut("conv2.q.weight") {
+            Some(QuantSiteState::Observer { seen, .. }) => *seen = 0,
+            other => panic!("fixture went stale: {other:?}"),
+        }
+        refused(&one_cold, "conv2.q.weight");
+    }
 }

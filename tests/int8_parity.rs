@@ -6,7 +6,7 @@
 //! and F4, per-layer and per-tap, and the batched executor must stay
 //! bit-for-bit identical to the sequential loop *within* the int path.
 
-use winograd_aware::core::{ConvAlgo, ConvSpec, WinogradAwareConv2d};
+use winograd_aware::core::{ConvAlgo, ConvLayer, ConvSpec, WaError, WinogradAwareConv2d};
 use winograd_aware::models::{
     BatchExecutor, ExecutorConfig, Infer, ModelKind, ModelSpec, ZooModel,
 };
@@ -274,5 +274,71 @@ fn int8_rejects_incompatible_bit_widths() {
             msg.contains("quant.execution"),
             "error must name the key path, got: {msg}"
         );
+    }
+}
+
+#[test]
+fn uncalibrated_int8_layers_refuse_and_name_the_cold_site() {
+    // Integer execution runs on calibrated scales only: a cold site would
+    // need a one-off scale from the whole tensor at hand, which makes the
+    // output depend on how a batch is split. Every conv pipeline must
+    // refuse with the `quant.execution` key and the first cold site.
+    let mut rng = SeededRng::new(3);
+    let x = rng.uniform_tensor(&[2, 4, 8, 8], -1.0, 1.0);
+    for algo in ZOO_ALGOS {
+        for policy in [TapPolicy::PerLayer, TapPolicy::PerTap] {
+            let spec = ConvSpec::builder()
+                .name("c")
+                .in_channels(4)
+                .out_channels(6)
+                .kernel(3)
+                .pad(1)
+                .algo(algo)
+                .quant(int8_quant(Execution::Int8, policy))
+                .build()
+                .expect("static spec");
+            let mut layer = ConvLayer::from_spec(&spec, &mut SeededRng::new(7)).expect("static");
+            let refuses = |layer: &ConvLayer, site: &str| {
+                let err = layer
+                    .infer_tensor(&x)
+                    .expect_err("a cold int8 layer must refuse");
+                assert!(
+                    matches!(
+                        err,
+                        WaError::InvalidSpec {
+                            field: "quant.execution",
+                            ..
+                        }
+                    ),
+                    "{algo}/{policy}: {err}"
+                );
+                assert!(
+                    err.to_string().contains(&format!("`c.q.{site}`")),
+                    "{algo}/{policy}: error must name `c.q.{site}`, got: {err}"
+                );
+            };
+
+            // never calibrated: the input site is the first one reached
+            refuses(&layer, "input");
+
+            // calibrated, then one late site reset
+            warm(&mut layer, &x);
+            layer.infer_tensor(&x).expect("a calibrated layer runs");
+            let late = match (algo, policy) {
+                (ConvAlgo::Im2row, _) => "output",
+                (_, TapPolicy::PerLayer) => "hadamard",
+                (_, TapPolicy::PerTap) => "bdb",
+            };
+            layer.visit_quant_state(&mut |name, state| {
+                if name == format!("c.q.{late}") {
+                    match state {
+                        QuantStateMut::Observer(o) => o.reset(),
+                        QuantStateMut::Taps(t) => t.reset(),
+                        QuantStateMut::BatchNorm { .. } => unreachable!("conv sites only"),
+                    }
+                }
+            });
+            refuses(&layer, late);
+        }
     }
 }

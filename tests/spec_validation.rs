@@ -62,6 +62,56 @@ fn conv_spec_even_kernel_winograd_is_unsupported_algo() {
 }
 
 #[test]
+fn conv_spec_winograd_kernel_beyond_five_is_unsupported_algo() {
+    // the paper's Winograd kernels are r ∈ {3, 5}; an odd kernel past
+    // that has no fused inference walk and must be refused up front
+    let err = ConvSpec::builder()
+        .in_channels(4)
+        .out_channels(4)
+        .kernel(7)
+        .algo(ConvAlgo::Winograd { m: 2 })
+        .build()
+        .unwrap_err();
+    assert!(matches!(err, WaError::UnsupportedAlgo { .. }), "{err}");
+    assert!(err.to_string().contains("kernel"), "{err}");
+    // im2row keeps any kernel
+    assert!(ConvSpec::builder()
+        .in_channels(4)
+        .out_channels(4)
+        .kernel(7)
+        .build()
+        .is_ok());
+}
+
+#[test]
+fn conv_spec_kernel_eleven_f6_is_an_error_not_a_panic() {
+    // F(6, 11) needs 15 Cook-Toom points, more than the default sequence
+    // has: the spec must be refused before any transform is built
+    let built = ConvSpec::builder()
+        .in_channels(2)
+        .out_channels(2)
+        .kernel(11)
+        .algo(ConvAlgo::Winograd { m: 6 })
+        .build();
+    assert!(
+        matches!(built, Err(WaError::UnsupportedAlgo { .. })),
+        "{built:?}"
+    );
+    // a spec mutated past the builder is re-validated by the layer
+    let mut spec = ConvSpec::builder()
+        .in_channels(2)
+        .out_channels(2)
+        .kernel(11)
+        .build()
+        .expect("im2row accepts kernel 11");
+    spec.algo = ConvAlgo::Winograd { m: 6 };
+    assert!(matches!(
+        ConvLayer::from_spec(&spec, &mut SeededRng::new(0)),
+        Err(WaError::UnsupportedAlgo { .. })
+    ));
+}
+
+#[test]
 fn conv_spec_winograd_stride_two_is_unsupported_algo() {
     let err = ConvSpec::builder()
         .in_channels(4)
